@@ -9,6 +9,7 @@ is fixed per configuration; it never depends on the instance.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 
 from .hypergraph import extract_view
 from .lp import solve_maxmin
@@ -17,6 +18,10 @@ from .model import Assignment, Instance, validate
 
 class LocalAlgorithmError(RuntimeError):
     pass
+
+
+# Ball-LP optima by sub-instance content, live only inside one run_local call.
+_BALL_LP_MEMO = ContextVar("ball_lp_memo", default=None)
 
 
 class LocalAlgorithm:
@@ -129,6 +134,15 @@ def local_subproblem(view, ball_members):
     return Instance(tuple(sorted(inside)), resources, beneficiaries)
 
 
+def _content_key(instance):
+    """A sub-instance by content: agents, rows and coefficients, not identity."""
+    return (
+        instance.agents,
+        tuple((i, tuple(row.items())) for i, row in instance.resources.items()),
+        tuple((k, tuple(row.items())) for k, row in instance.beneficiaries.items()),
+    )
+
+
 def local_lp_solution(view, u, R, adj=None):
     """Canonical optimum of the ball-(u, R) subproblem, keyed by agent.
 
@@ -136,6 +150,14 @@ def local_lp_solution(view, u, R, adj=None):
     vacuous there, and zero keeps every packing row slack.  Any agent whose
     view contains B(u, R) computes the exact same numbers, because the
     subproblem is canonical and the solver's pivot path is fixed.
+
+    Inside :func:`run_local` the optimum is memoised on the content of the
+    canonical subproblem -- its agents and its resource and benefit rows with
+    their coefficients -- never on the deciding agent, the ball centre or any
+    run state, so a hit returns exactly what a fresh solve would.  Outside
+    ``run_local`` there is no memo and every call solves.  A failing solve
+    raises :class:`LocalAlgorithmError` naming the deciding agent, u, R and
+    the ball size, chained from the solver's error.
     """
     if adj is None:
         adj = view_adjacency(view)
@@ -143,8 +165,21 @@ def local_lp_solution(view, u, R, adj=None):
     sub = local_subproblem(view, ball)
     if not sub.beneficiaries:
         return {w: 0.0 for w in sub.agents}
-    assignment, _ = solve_maxmin(sub)
-    return assignment.values
+    memo = _BALL_LP_MEMO.get()
+    if memo is None:
+        memo = {}
+    key = _content_key(sub)
+    if key not in memo:
+        try:
+            assignment, _ = solve_maxmin(sub)
+        except (ArithmeticError, ValueError) as exc:
+            raise LocalAlgorithmError(
+                f"agent {view.center}: LP of the ball around u={u} with R={R} "
+                f"({len(ball)} agents) failed: {exc}"
+            ) from exc
+        memo[key] = assignment.values
+    # a copy, so a caller that edits its result cannot alter later hits
+    return dict(memo[key])
 
 
 class LocalAveraging(LocalAlgorithm):
@@ -206,23 +241,33 @@ def run_local(instance, algorithm):
     Every value is produced from that agent's own radius-``horizon`` view and
     nothing else.  Evaluation order cannot matter because decide() is pure;
     the executor still walks agents in ascending order so failures reproduce.
+
+    For the duration of the call, :func:`local_lp_solution` shares one memo
+    of ball-LP optima keyed on subproblem content, so each distinct ball LP
+    is solved once per run rather than once per agent that sees it.  The memo
+    is dropped when the call returns or raises; nothing carries over to the
+    next run or to direct ``decide()`` calls.
     """
     report = validate(instance)
     if report.violations:
         raise ValueError(
             "instance failed validation: " + "; ".join(report.violations[:5])
         )
-    values = {}
-    for v in instance.agents:
-        view = extract_view(instance, v, algorithm.horizon)
-        value = algorithm.decide(view)
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(value) or value < 0:
-            raise LocalAlgorithmError(
-                f"algorithm {algorithm.name!r} returned {value!r} for agent {v}; "
-                "values must be finite and nonnegative"
-            )
-        values[v] = float(value)
+    token = _BALL_LP_MEMO.set({})
+    try:
+        values = {}
+        for v in instance.agents:
+            view = extract_view(instance, v, algorithm.horizon)
+            value = algorithm.decide(view)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                    or not math.isfinite(value) or value < 0:
+                raise LocalAlgorithmError(
+                    f"algorithm {algorithm.name!r} returned {value!r} for agent {v}; "
+                    "values must be finite and nonnegative"
+                )
+            values[v] = float(value)
+    finally:
+        _BALL_LP_MEMO.reset(token)
     return Assignment(values)
 
 

@@ -127,12 +127,11 @@ class View:
 
 
 def extract_view(instance, v, r):
-    agent_set = set(instance.agents)
-    if v not in agent_set:
+    H = hypergraph(instance)
+    if v not in H._adj:
         raise ValueError(f"unknown agent id {v}")
     if r < 0:
         raise ValueError("horizon must be nonnegative")
-    H = hypergraph(instance)
     members = sorted(H.ball(v, r))
     I_of = instance.agent_resources()
     K_of = instance.agent_beneficiaries()

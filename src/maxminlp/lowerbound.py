@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .evaluation import feasibility, level_sums, objective
 from .hypergraph import hypergraph
@@ -125,8 +126,16 @@ class BipartiteTemplate:
 
     def incident(self, q):
         """Edges at q, sorted by the opposite endpoint (canonical pairing order)."""
-        mine = [e for e in self.edges if q in e]
-        return sorted(mine, key=lambda e: e[0] if e[1] == q else e[1])
+        return list(self._incidence.get(q, ()))
+
+    @cached_property
+    def _incidence(self):
+        # one pass over the edges; each vertex's list sorted by the other end
+        at = {}
+        for u, w in self.edges:
+            at.setdefault(u, []).append((w, (u, w)))
+            at.setdefault(w, []).append((u, (u, w)))
+        return {q: tuple(e for _, e in sorted(mine)) for q, mine in at.items()}
 
 
 def _graph_girth(adj):

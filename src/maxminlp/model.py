@@ -211,17 +211,42 @@ def instance_to_dict(instance):
     }
 
 
+def _by_agent(mapping, where):
+    """``{int(key): float(value)}``, refusing two keys that name one agent."""
+    out = {}
+    keys = {}
+    for key, value in mapping.items():
+        v = int(key)
+        if v in out:
+            raise ValueError(
+                f"{where}: keys {keys[v]!r} and {key!r} both name agent {v}"
+            )
+        keys[v] = key
+        out[v] = float(value)
+    return out
+
+
+def _rows_from_list(entries, kind):
+    rows = {}
+    for entry in entries:
+        rid = int(entry["id"])
+        if rid in rows:
+            raise ValueError(f"duplicate {kind} id {rid}")
+        rows[rid] = _by_agent(entry["coeffs"], f"{kind} {rid}")
+    return rows
+
+
 def instance_from_dict(payload):
+    """Inverse of :func:`instance_to_dict`.
+
+    Two rows of one kind with the same id, or two coefficient keys that parse
+    to the same agent (``"0"`` and ``"00"``), are rejected rather than letting
+    the last one win.
+    """
     try:
         agents = tuple(int(v) for v in payload["agents"])
-        resources = {
-            int(entry["id"]): {int(v): float(c) for v, c in entry["coeffs"].items()}
-            for entry in payload["resources"]
-        }
-        beneficiaries = {
-            int(entry["id"]): {int(v): float(c) for v, c in entry["coeffs"].items()}
-            for entry in payload["beneficiaries"]
-        }
+        resources = _rows_from_list(payload["resources"], "resource")
+        beneficiaries = _rows_from_list(payload["beneficiaries"], "beneficiary")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance payload: {exc}") from exc
     return Instance(agents, resources, beneficiaries)
@@ -237,8 +262,18 @@ def dump_json(payload, path):
     Path(path).write_text(text + "\n")
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON object key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(path):
-    return json.loads(Path(path).read_text())
+    """Parse a JSON file, rejecting any object that repeats a key."""
+    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
 
 
 def save_instance(instance, path, extra=None):
@@ -258,7 +293,7 @@ def assignment_to_dict(assignment):
 
 def assignment_from_dict(payload):
     try:
-        values = {int(v): float(x) for v, x in payload["values"].items()}
+        values = _by_agent(payload["values"], "values")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed assignment payload: {exc}") from exc
     return Assignment(values)

@@ -1,14 +1,17 @@
 import random
+import re
 
 import pytest
 
 import oracles
+from maxminlp import algorithms
 from maxminlp.algorithms import (
     LocalAlgorithm,
     LocalAlgorithmError,
     LocalAveraging,
     SafeAlgorithm,
     ZeroAlgorithm,
+    _content_key,
     local_lp_solution,
     local_subproblem,
     make_algorithm,
@@ -237,3 +240,121 @@ def test_decides_from_the_view_alone(seed, alg_name, R):
     after = extract_view(mutated, v, alg.horizon)
     assert before == after
     assert alg.decide(before) == alg.decide(after)
+
+
+def _counting_solver(monkeypatch):
+    """Route the executor's LP calls through a wrapper that records each sub-instance."""
+    seen = []
+    real = algorithms.solve_maxmin
+
+    def counted(sub):
+        seen.append(_content_key(sub))
+        return real(sub)
+
+    monkeypatch.setattr(algorithms, "solve_maxmin", counted)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def torus11():
+    return gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=11))
+
+
+def test_run_local_solves_each_distinct_ball_lp_once(torus11, monkeypatch):
+    # 64 agents, each averaging over the 19 balls B(u, 2) it sees: 1,216
+    # look-ups of 64 distinct sub-problems, one per ball centre
+    seen = _counting_solver(monkeypatch)
+    run_local(torus11, LocalAveraging(2))
+    assert len(seen) == 64
+    assert len(set(seen)) == 64
+
+
+def test_memoised_run_matches_direct_decisions_bit_for_bit(torus11):
+    out = run_local(torus11, LocalAveraging(2)).values
+    alg = LocalAveraging(2)
+    for v in torus11.agents:
+        assert out[v] == alg.decide(extract_view(torus11, v, alg.horizon))
+
+
+def _ring(scale=1.0):
+    inst = gen_torus(TorusParams(dim=1, side=10, perturb=True, seed=3))
+    row = dict(inst.resources[0])
+    row[min(row)] *= scale
+    return Instance(inst.agents, {**inst.resources, 0: row}, inst.beneficiaries)
+
+
+def _fresh(inst, monkeypatch):
+    with monkeypatch.context() as m:
+        seen = _counting_solver(m)
+        values = run_local(inst, LocalAveraging(1)).values
+    return values, len(seen)
+
+
+def test_no_memo_survives_a_run(monkeypatch):
+    # same agent ids, one coefficient apart: most balls of the two rings have
+    # identical content, so a memo that outlived the first run would let the
+    # second solve fewer LPs than a fresh run does
+    a, b = _ring(), _ring(scale=0.75)
+    assert a.agents == b.agents and a != b
+    b_fresh, b_solves = _fresh(b, monkeypatch)
+    run_local(a, LocalAveraging(1))
+    assert algorithms._BALL_LP_MEMO.get() is None
+    assert _fresh(b, monkeypatch) == (b_fresh, b_solves)
+    assert run_local(a, LocalAveraging(1)).values != b_fresh
+
+
+def test_no_memo_survives_a_run_that_raised(monkeypatch):
+    inst = _ring()
+    expected = _fresh(inst, monkeypatch)
+    real = algorithms.solve_maxmin
+    calls = []
+
+    def failing(sub):
+        calls.append(sub)
+        if len(calls) == 3:
+            raise ArithmeticError("injected")
+        return real(sub)
+
+    with monkeypatch.context() as m:
+        m.setattr(algorithms, "solve_maxmin", failing)
+        with pytest.raises(LocalAlgorithmError, match="injected"):
+            run_local(inst, LocalAveraging(1))
+    assert algorithms._BALL_LP_MEMO.get() is None
+    assert _fresh(inst, monkeypatch) == expected
+
+
+class _Clobbering(LocalAveraging):
+    """Edits the ball optimum it is handed before deciding as usual."""
+
+    def decide(self, view):
+        local_lp_solution(view, view.center, self.R).clear()
+        return super().decide(view)
+
+
+def test_editing_a_ball_optimum_does_not_reach_the_memo():
+    inst = _ring()
+    assert run_local(inst, _Clobbering(1)).values == run_local(inst, LocalAveraging(1)).values
+
+
+def test_failing_ball_lp_names_agent_ball_and_radius():
+    # a known fault of the simplex (tableau drift) on this torus; the error
+    # must say which agent was deciding and which ball LP failed
+    inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=2))
+    with pytest.raises(LocalAlgorithmError) as info:
+        run_local(inst, LocalAveraging(2))
+    assert isinstance(info.value.__cause__, ArithmeticError)
+    match = re.fullmatch(
+        r"agent (\d+): LP of the ball around u=(\d+) with R=2 \((\d+) agents\) "
+        r"failed: (.*)",
+        str(info.value),
+    )
+    assert match, str(info.value)
+    j, u, size = (int(g) for g in match.groups()[:3])
+    assert u in oracles.ball(inst, j, 2)
+    assert size == len(oracles.ball(inst, u, 2))
+    assert match.group(4) == str(info.value.__cause__)
+    assert "infeasible point" in match.group(4)
+    # the named ball is the one that fails, seen from the named agent
+    with pytest.raises(LocalAlgorithmError) as again:
+        local_lp_solution(extract_view(inst, j, 5), u, 2)
+    assert str(again.value) == str(info.value)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -177,3 +178,53 @@ def test_assignment_from_dict_rejects_malformed():
         assignment_from_dict({"values": {"a": 1.0}})
     with pytest.raises(ValueError):
         assignment_from_dict({})
+
+
+def two_agents(resources=None, beneficiaries=None):
+    return {
+        "agents": [0, 1],
+        "resources": resources or [{"id": 0, "coeffs": {"0": 1.0, "1": 1.0}}],
+        "beneficiaries": beneficiaries or [{"id": 5, "coeffs": {"0": 1.0}}],
+    }
+
+
+@pytest.mark.parametrize(
+    "payload, fragment",
+    [
+        # the last row used to win, dropping agent 0's coverage silently
+        (two_agents(resources=[{"id": 0, "coeffs": {"0": 1.0}},
+                               {"id": 0, "coeffs": {"1": 1.0}}]),
+         "duplicate resource id 0"),
+        (two_agents(beneficiaries=[{"id": 5, "coeffs": {"0": 1.0}},
+                                   {"id": 5, "coeffs": {"1": 2.0}}]),
+         "duplicate beneficiary id 5"),
+        (two_agents(resources=[{"id": 0, "coeffs": {"0": 1.0, "00": 0.5, "1": 1.0}}]),
+         "resource 0: keys '0' and '00' both name agent 0"),
+        (two_agents(beneficiaries=[{"id": 5, "coeffs": {"1": 1.0, "+1": 2.0}}]),
+         "beneficiary 5: keys '1' and '+1' both name agent 1"),
+    ],
+)
+def test_instance_from_dict_rejects_duplicates(payload, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        instance_from_dict(payload)
+
+
+def test_assignment_from_dict_rejects_keys_naming_one_agent():
+    with pytest.raises(ValueError, match="keys '3' and '03' both name agent 3"):
+        assignment_from_dict({"values": {"3": 1.0, "03": 0.5}})
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"agents": [0], "agents": [0, 1], "resources": [], "beneficiaries": []}',
+         "agents"),
+        ('{"agents": [0], "resources": [{"id": 0, "coeffs": {"0": 1.0, "0": 2.0}}],'
+         ' "beneficiaries": []}', "0"),
+    ],
+)
+def test_load_json_rejects_duplicate_object_keys(tmp_path, text, key):
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"duplicate JSON object key '{key}'"):
+        load_instance(path)
