@@ -20,6 +20,14 @@ class LocalAlgorithmError(RuntimeError):
     pass
 
 
+class InvalidInstanceError(ValueError):
+    """run_local refused an instance; ``violations`` lists every defect."""
+
+    def __init__(self, violations):
+        self.violations = violations
+        super().__init__("instance failed validation: " + "; ".join(violations[:5]))
+
+
 # Ball-LP optima by sub-instance content, live only inside one run_local call.
 _BALL_LP_MEMO = ContextVar("ball_lp_memo", default=None)
 
@@ -247,12 +255,13 @@ def run_local(instance, algorithm):
     is solved once per run rather than once per agent that sees it.  The memo
     is dropped when the call returns or raises; nothing carries over to the
     next run or to direct ``decide()`` calls.
+
+    Raises :class:`InvalidInstanceError` before any agent decides when the
+    instance fails :func:`~maxminlp.model.validate`.
     """
     report = validate(instance)
     if report.violations:
-        raise ValueError(
-            "instance failed validation: " + "; ".join(report.violations[:5])
-        )
+        raise InvalidInstanceError(report.violations)
     token = _BALL_LP_MEMO.set({})
     try:
         values = {}

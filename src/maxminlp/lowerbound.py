@@ -18,8 +18,8 @@ from functools import cached_property
 
 from .evaluation import feasibility, level_sums, objective
 from .hypergraph import hypergraph
-from .model import Assignment, Instance, STRICT, restrict, validate
-from .algorithms import run_local
+from .model import Assignment, Instance, STRICT, restrict
+from .algorithms import InvalidInstanceError, run_local
 
 DEFAULT_NODE_CAP = 200_000
 DELTA_CANCEL_TOL = 1e-9
@@ -139,7 +139,12 @@ class BipartiteTemplate:
 
 
 def _graph_girth(adj):
-    """Exact girth by BFS from every vertex; None when acyclic."""
+    """Exact girth of a bipartite graph by BFS from every vertex; None when acyclic.
+
+    Expanding BFS level L closes cycles of length 2L (edges back to level
+    L - 1, already seen from there) or 2L + 2; with no edge inside a level,
+    nothing shorter than the best so far can appear once 2L + 2 reaches it.
+    """
     best = None
     for root in adj:
         dist = {root: 0}
@@ -158,26 +163,90 @@ def _graph_girth(adj):
                         if best is None or cycle < best:
                             best = cycle
             queue = nxt
-            if best is not None and queue and 2 * dist[queue[0]] >= best:
+            if best is not None and queue and 2 * dist[queue[0]] + 2 >= best:
                 break
     return best
 
 
-def _reach(adj, start, depth):
-    """Vertices within ``depth`` hops of start in the partial graph."""
-    seen = {start}
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+class _Bits:
+    """The set bits of a mask as an ascending sequence.
+
+    ``rng.choice`` on it draws exactly as on the sorted list of the same
+    positions, without building that list.
+    """
+
+    def __init__(self, mask):
+        self.mask = mask
+        self.count = mask.bit_count()
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def __getitem__(self, k):
+        if not 0 <= k < self.count:
+            raise IndexError(k)
+        # invariant: at most k set bits below lo, more than k below hi
+        lo, hi = 0, self.mask.bit_length()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (self.mask & ((1 << mid) - 1)).bit_count() > k:
+                hi = mid
+            else:
+                lo = mid
+        return lo
+
+
+class _PartialTemplate:
+    """The greedy's graph so far, with right vertices as bits of a mask.
+
+    Bit i stands for right vertex n_per_side + i.  ``near[i]`` has the bits
+    of the right vertices within two hops of bit i, i itself included, so a
+    search from a left vertex moves between right vertices two hops at a
+    time and never expands a left one.
+    """
+
+    def __init__(self, n_per_side):
+        self.rights_of = [[] for _ in range(n_per_side)]
+        self.mask_of = [0] * n_per_side
+        self.near = [1 << i for i in range(n_per_side)]
+
+    def add_edge(self, u, i):
+        """Join left vertex u to the right vertex of bit i."""
+        bit = 1 << i
+        for j in self.rights_of[u]:
+            self.near[j] |= bit
+        self.rights_of[u].append(i)
+        self.mask_of[u] |= bit
+        self.near[i] |= self.mask_of[u]
+
+    def rights_within(self, u, window):
+        """Mask of the right vertices within an even ``window`` of hops from u.
+
+        Every edge joins the two sides, so right vertices sit at odd distances
+        from the left vertex u and window - 1 hops reach the same ones: u's
+        neighbours, then window / 2 - 1 two-hop steps.
+        """
+        if window < 2:
+            return 0
+        seen = self.mask_of[u]
+        frontier = self.rights_of[u]
+        for _ in range(window // 2 - 1):
+            reached = 0
+            for j in frontier:
+                reached |= self.near[j]
+            step = reached & ~seen
+            if not step:
+                break
+            seen |= step
+            frontier = _Bits(step)
+        return seen
 
 
 def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=10_000):
@@ -206,35 +275,38 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=10
     rng = random.Random(seed)
     window = min_girth - 2
     lefts = list(range(n_per_side))
-    rights = list(range(n_per_side, 2 * n_per_side))
     for _ in range(max_attempts):
-        adj = {q: [] for q in range(2 * n_per_side)}
+        graph = _PartialTemplate(n_per_side)
         stuck = False
         for _ in range(degree):
             order = lefts[:]
             rng.shuffle(order)
-            free = set(rights)
+            free = (1 << n_per_side) - 1
             for u in order:
                 # a new edge u-w closes a cycle of length dist(u, w) + 1
-                allowed = sorted(free - _reach(adj, u, window))
+                allowed = _Bits(free & ~graph.rights_within(u, window))
                 if not allowed:
                     stuck = True
                     break
-                w = rng.choice(allowed)
-                adj[u].append(w)
-                adj[w].append(u)
-                free.discard(w)
+                i = rng.choice(allowed)
+                graph.add_edge(u, i)
+                free &= ~(1 << i)
             if stuck:
                 break
         if stuck:
             continue
+        edges = [(u, n_per_side + i) for u in lefts for i in graph.rights_of[u]]
+        adj = {q: [] for q in range(2 * n_per_side)}
+        for u, w in edges:
+            adj[u].append(w)
+            adj[w].append(u)
         girth = _graph_girth(adj)
         if girth is not None and girth < min_girth:
             raise AssertionError("greedy construction violated its own girth bound")
         return BipartiteTemplate(
             n_per_side=n_per_side,
             degree=degree,
-            edges=tuple(sorted((u, w) for u in lefts for w in adj[u])),
+            edges=tuple(sorted(edges)),
             girth=girth,
         )
     raise TemplateGenerationError(
@@ -514,12 +586,12 @@ def adversarial_lower_bound(
     )
     x_full = run_local(full, algorithm)
     sub, meta = select_hard_subinstance(full, meta, x_full)
-    report = validate(sub)
-    if report.violations:
+    try:
+        x_sub = run_local(sub, algorithm)
+    except InvalidInstanceError as exc:
         raise ArithmeticError(
-            "carved sub-instance failed validation: " + "; ".join(report.violations[:5])
-        )
-    x_sub = run_local(sub, algorithm)
+            "carved sub-instance failed validation: " + "; ".join(exc.violations[:5])
+        ) from exc
 
     selected_tree = meta.tree_agents(meta.p)
     identical = all(x_full.values[v] == x_sub.values[v] for v in selected_tree)

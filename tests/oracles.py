@@ -133,3 +133,42 @@ def bipartite_girth(edges):
     G.add_edges_from(edges)
     g = nx.girth(G)
     return None if g == float("inf") else g
+
+
+def reference_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts):
+    """The template greedy as first written, for comparing edge streams.
+
+    Each step searches every vertex, of either side, within min_girth - 2
+    hops of the left endpoint, and draws from the sorted list of free right
+    vertices outside that ball.  Returns the sorted edges, or None when the
+    attempt budget runs out.
+    """
+    import random
+
+    rng = random.Random(seed)
+    rights = range(n_per_side, 2 * n_per_side)
+    for _ in range(max_attempts):
+        adj = {q: [] for q in range(2 * n_per_side)}
+        stuck = False
+        for _ in range(degree):
+            order = list(range(n_per_side))
+            rng.shuffle(order)
+            free = set(rights)
+            for u in order:
+                seen = frontier = {u}
+                for _ in range(min_girth - 2):
+                    frontier = {w for v in frontier for w in adj[v]} - seen
+                    seen = seen | frontier
+                allowed = sorted(free - seen)
+                if not allowed:
+                    stuck = True
+                    break
+                w = rng.choice(allowed)
+                adj[u].append(w)
+                adj[w].append(u)
+                free.discard(w)
+            if stuck:
+                break
+        if not stuck:
+            return sorted((u, w) for u in range(n_per_side) for w in adj[u])
+    return None

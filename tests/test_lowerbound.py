@@ -1,9 +1,13 @@
+import hashlib
 from dataclasses import replace
 
+import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from maxminlp.algorithms import make_algorithm, run_local
+from maxminlp import algorithms, lowerbound
+from maxminlp.algorithms import InvalidInstanceError, make_algorithm, run_local
 from maxminlp.evaluation import acyclicity, feasibility, objective
 from maxminlp.hypergraph import extract_view
 from maxminlp.lowerbound import (
@@ -20,7 +24,7 @@ from maxminlp.lowerbound import (
     select_hard_subinstance,
     theoretical_ratio_floor,
 )
-from maxminlp.model import Assignment, validate
+from maxminlp.model import Assignment, Instance, restrict, validate
 
 
 def test_hypertree_levels_alternate_arity():
@@ -63,7 +67,9 @@ def test_hypertree_argument_validation():
         build_hypertree(1, 1, -1)
 
 
-@pytest.mark.parametrize("degree, girth", [(1, 6), (2, 6), (3, 6), (4, 6)])
+@pytest.mark.parametrize(
+    "degree, girth", [(1, 6), (2, 6), (3, 6), (4, 6), (8, 6), (3, 8), (2, 10)]
+)
 def test_template_regular_and_high_girth(degree, girth):
     width = default_template_width(degree, girth)
     tpl = build_regular_bipartite(degree, girth, width, seed=0)
@@ -85,6 +91,153 @@ def test_template_is_seed_deterministic():
     c = build_regular_bipartite(3, 6, 30, seed=6)
     assert a.edges == b.edges
     assert a.edges != c.edges
+
+
+# SHA-256 of repr((edges, girth)), recorded from the greedy that searched
+# every vertex within min_girth - 2 hops; a change in any random draw, or in
+# the list a draw indexes, shows here.
+TEMPLATE_DIGESTS = {
+    # the adversary-safe benchmark's template, found on the first attempt
+    (8, 6, 800, 0): "5a3d6196b070fdfc4aa877cc99795650f3fc3465215c64126cf7f81c3032d8f2",
+    # the same size, but the greedy gets stuck and restarts
+    (8, 6, 800, 1): "85e031c84a44ffc2ae41b9fcdc3baf94af8ec7d9cf42ec86e386f412c5354c5d",
+    # five attempts
+    (3, 8, 126, 3): "7ec9833b5c9de59231ab7bafb9217cd4a8b7c0b6266c88a26a7387342f2e9c6b",
+    # girth 10: right vertices within 7 hops instead of all vertices within 8
+    (3, 10, 300, 0): "d4d93374be891b89f5b800d41960433a33e6ffafcc06ba46316e1de4a73c1acf",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(TEMPLATE_DIGESTS), ids=lambda case: "-".join(map(str, case))
+)
+def test_template_stream_matches_the_recorded_digest(case):
+    tpl = build_regular_bipartite(*case)
+    digest = hashlib.sha256(repr((tpl.edges, tpl.girth)).encode()).hexdigest()
+    assert digest == TEMPLATE_DIGESTS[case]
+
+
+@st.composite
+def partial_bipartite(draw, forest=False):
+    """(n_per_side, edges in insertion order) of a simple bipartite graph.
+
+    With ``forest`` every edge that would close a cycle is dropped; otherwise
+    a 4-cycle may be planted among the random edges.
+    """
+    n = draw(st.integers(1, 7))
+    lefts, rights = st.integers(0, n - 1), st.integers(n, 2 * n - 1)
+    edges = draw(st.lists(st.tuples(lefts, rights), max_size=3 * n, unique=True))
+    if not forest and n >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(lefts, min_size=2, max_size=2, unique=True))
+        c, d = draw(st.lists(rights, min_size=2, max_size=2, unique=True))
+        planted = [(a, c), (a, d), (b, c), (b, d)]
+        edges = [e for e in edges if e not in planted] + planted
+        edges = draw(st.permutations(edges))
+    if forest:
+        component = list(range(2 * n))
+        kept = []
+        for u, w in edges:
+            if component[u] != component[w]:
+                old = component[w]
+                component = [component[u] if c == old else c for c in component]
+                kept.append((u, w))
+        edges = kept
+    return n, edges
+
+
+def partial_template(n, edges):
+    graph = lowerbound._PartialTemplate(n)
+    for u, w in edges:
+        graph.add_edge(u, w - n)
+    return graph
+
+
+def adjacency(n, edges):
+    adj = {q: [] for q in range(2 * n)}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    return adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_bipartite())
+def test_right_vertices_within_an_even_window_are_within_one_hop_less(case):
+    n, edges = case
+    graph = partial_template(n, edges)
+    G = nx.Graph()
+    G.add_nodes_from(range(2 * n))
+    G.add_edges_from(edges)
+    for u in range(n):
+        for window in range(0, 2 * n + 4, 2):
+            def rights_at(depth):
+                if depth < 0:
+                    return set()
+                reach = nx.single_source_shortest_path_length(G, u, cutoff=depth)
+                return {v for v in reach if v >= n}
+
+            mask = graph.rights_within(u, window)
+            assert rights_at(window) == rights_at(window - 1)
+            assert {n + i for i in range(n) if mask >> i & 1} == rights_at(window)
+
+
+def assert_girth_matches_networkx(n, edges):
+    assert lowerbound._graph_girth(adjacency(n, edges)) == oracles.bipartite_girth(edges)
+
+
+# vertex 0 lies only on a 6-cycle, found first; the 4-cycle sits on higher
+# ids, so an exit one level early would report 6
+HEXAGON_THEN_SQUARE = [
+    (0, 10), (1, 10), (1, 11), (2, 11), (2, 12), (0, 12),
+    (3, 13), (3, 14), (4, 13), (4, 14),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_bipartite())
+@example((10, HEXAGON_THEN_SQUARE))
+def test_early_exit_girth_matches_networkx(case):
+    assert_girth_matches_networkx(*case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(partial_bipartite(forest=True))
+def test_early_exit_girth_is_none_on_forests(case):
+    n, edges = case
+    assert lowerbound._graph_girth(adjacency(n, edges)) is None
+    assert_girth_matches_networkx(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**70))
+def test_bits_index_the_set_positions_in_order(mask):
+    positions = [p for p in range(mask.bit_length()) if mask >> p & 1]
+    bits = lowerbound._Bits(mask)
+    assert len(bits) == len(positions)
+    assert list(bits) == positions
+    assert [bits[k] for k in range(len(bits))] == positions
+    with pytest.raises(IndexError):
+        bits[len(positions)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4), st.sampled_from([0, 2, 4, 6, 8]), st.integers(0, 10),
+    st.integers(0, 2**32),
+)
+def test_template_draws_match_the_reference_greedy(degree, min_girth, extra, seed):
+    n = degree + extra
+    want = oracles.reference_regular_bipartite(degree, min_girth, n, seed, max_attempts=5)
+    if want is None:
+        with pytest.raises(TemplateGenerationError):
+            build_regular_bipartite(degree, min_girth, n, seed, max_attempts=5)
+        return
+    tpl = build_regular_bipartite(degree, min_girth, n, seed, max_attempts=5)
+    assert list(tpl.edges) == want
+    if len(set(want)) == len(want):
+        assert tpl.girth == oracles.bipartite_girth(want)
+    else:
+        assert tpl.girth == 2
 
 
 def test_template_argument_validation():
@@ -276,6 +429,32 @@ def test_full_attack_on_the_zero_algorithm():
     assert report.certified_ratio is None
     assert report.to_dict()["certified_ratio"] == "unbounded"
     assert report.parity_feasible and report.parity_rows_exact
+
+
+def test_attack_validates_each_instance_once(monkeypatch):
+    checked = []
+
+    def counting(instance):
+        checked.append(len(instance.agents))
+        return validate(instance)
+
+    monkeypatch.setattr(algorithms, "validate", counting)
+    report = adversarial_lower_bound(make_algorithm("safe"), 2, 1, 1, 2, seed=0)
+    assert checked == [report.params["agents"], report.params["sub_agents"]]
+
+
+def test_attack_reports_an_invalid_carve(monkeypatch):
+    def uncovered_agent(instance, agent_set, mode):
+        sub = restrict(instance, agent_set, mode)
+        stray = max(sub.agents) + 1
+        return Instance(sub.agents + (stray,), sub.resources, sub.beneficiaries)
+
+    monkeypatch.setattr(lowerbound, "restrict", uncovered_agent)
+    with pytest.raises(
+        ArithmeticError, match="carved sub-instance failed validation: agent .* no resource"
+    ) as caught:
+        adversarial_lower_bound(make_algorithm("safe"), 2, 1, 1, 2, seed=0)
+    assert isinstance(caught.value.__cause__, InvalidInstanceError)
 
 
 def test_attack_refuses_far_sighted_algorithms():
