@@ -20,7 +20,7 @@ from .model import (
     validate,
 )
 from .hypergraph import Hypergraph, View, extract_view, growth_factor, neighbourhood_ball
-from .lp import solve_deterministic, solve_maxmin
+from .lp import solve_maxmin
 from .algorithms import (
     LocalAlgorithm,
     LocalAveraging,
@@ -58,7 +58,6 @@ __all__ = [
     "extract_view",
     "growth_factor",
     "neighbourhood_ball",
-    "solve_deterministic",
     "solve_maxmin",
     "LocalAlgorithm",
     "LocalAveraging",

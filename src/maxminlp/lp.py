@@ -1,260 +1,260 @@
-"""Max-min LP assembly and a deterministic dense-tableau simplex.
+"""The max-min epigraph LP and the one simplex that solves it.
 
-The solver exists for reproducibility, not speed.  Every pivot decision uses
-the lowest-eligible-index rule (Bland) over a canonical column order, so
-identical programs take identical pivot paths and return bit-identical
-optima -- several agents re-deriving the same local optimum from their own
-views must agree to the last bit.  Problems here are ball-sized, so a dense
-tableau is plenty.
+The program is: maximise omega subject to A x <= 1 (resources) and
+omega - C x <= 0 (beneficiaries), x >= 0.  Its right-hand sides are
+nonnegative and x = 0, omega = 0 is feasible, so omega is taken nonnegative
+and the slack basis is a feasible start: no phase 1, no free variable.
+
+Pricing is Dantzig's (largest reduced cost, lowest index on ties).  After m
+degenerate pivots in a row (m = rows) the lowest eligible index enters until
+a pivot makes progress, so the simplex cannot cycle (Bland 1977).  The run
+is that long because the slack basis makes every beneficiary row tight, and
+leaving it takes about one degenerate pivot per row.  The leaving row has
+the minimum ratio, ties to the lowest basic index.  Every m pivots and at
+termination the tableau is rebuilt from the program's own rows, clearing
+the drift of the pivots (reinversion, Bartels & Golub 1969).
+
+Every decision is a pure function of the program and every floating-point
+step an elementwise numpy operation, with no BLAS or LAPACK call, so the
+same program gives the same bits whatever the BLAS build or thread count:
+agents re-deriving one local optimum from their own views agree exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import Assignment
 
-PIVOT_TOL = 1e-12
+# smallest column entry the ratio test pivots on
+PIVOT_TOL = 1e-7
+# reduced cost above which a column may enter
+OPTIMALITY_TOL = 1e-12
+# smallest partial pivot a rebuild accepts before calling the basis singular
+SINGULAR_TOL = 1e-11
+# largest row violation or negative value the returned point may show
 FEASIBILITY_TOL = 1e-9
-_MAX_PIVOTS = 200_000
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
+# pivots allowed per row and per column before the solver refuses
+_PIVOT_BUDGET_FACTOR = 50
 
 
 class EmptyBeneficiaryError(ValueError):
     """The max-min objective is undefined without beneficiary rows (empty K)."""
 
 
-@dataclass
-class LinearProgram:
-    """maximise objective @ x  subject to  row_coeffs @ x <= row_rhs,
-    with x_j >= 0 wherever ``nonneg[j]`` is set (free otherwise)."""
+class MaxMinLP(NamedTuple):
+    """The epigraph program: column labels, row labels, (row, column,
+    coefficient) arrays of the constraint matrix's nonzeros, right-hand sides."""
 
-    variables: tuple
-    objective: np.ndarray
-    row_coeffs: np.ndarray
-    row_rhs: np.ndarray
-    nonneg: tuple
-    row_labels: tuple = ()
-
-
-@dataclass
-class LpSolution:
-    status: str
-    values: dict
-    objective: float | None
+    columns: tuple
+    rows: tuple
+    entries: tuple
+    rhs: np.ndarray
 
 
 def assemble_maxmin_lp(sub_instance):
     """Epigraph form of the max-min objective.
 
-    One extra variable carries the common benefit level; it is maximised
-    subject to sitting below every beneficiary row.  Canonical variable
-    order: the level first, then agents ascending by id.  Canonical row
-    order: resources ascending, then beneficiaries ascending.
+    Column 0 is the common benefit level omega, then one column per agent in
+    instance order.  Rows are the resources, then the beneficiaries, each in
+    instance order.
     """
     if not sub_instance.beneficiaries:
         raise EmptyBeneficiaryError(
             "empty K: the max-min objective needs at least one beneficiary"
         )
-    agents = list(sub_instance.agents)
-    col = {v: 1 + t for t, v in enumerate(agents)}
-    names = ("omega",) + tuple(f"x{v}" for v in agents)
-    n = len(names)
-
-    rows = []
-    rhs = []
-    labels = []
-    for i, row in sub_instance.resources.items():
-        coeffs = np.zeros(n)
-        for v, a in row.items():
-            if v not in col:
-                raise ValueError(f"resource {i} references unknown agent {v}")
-            coeffs[col[v]] = a
-        rows.append(coeffs)
-        rhs.append(1.0)
-        labels.append(f"resource:{i}")
-    for k, row in sub_instance.beneficiaries.items():
-        coeffs = np.zeros(n)
-        coeffs[0] = 1.0
-        for v, c in row.items():
-            if v not in col:
-                raise ValueError(f"beneficiary {k} references unknown agent {v}")
-            coeffs[col[v]] = -c
-        rows.append(coeffs)
-        rhs.append(0.0)
-        labels.append(f"beneficiary:{k}")
-
-    objective = np.zeros(n)
-    objective[0] = 1.0
-    nonneg = (False,) + (True,) * len(agents)
-    return LinearProgram(
-        variables=names,
-        objective=objective,
-        row_coeffs=np.array(rows) if rows else np.zeros((0, n)),
-        row_rhs=np.array(rhs),
-        nonneg=nonneg,
-        row_labels=tuple(labels),
+    col = {v: 1 + t for t, v in enumerate(sub_instance.agents)}
+    labels, entries = [], []
+    for kind, mapping, sign in (
+        ("resource", sub_instance.resources, 1.0),
+        ("beneficiary", sub_instance.beneficiaries, -1.0),
+    ):
+        for i, row in mapping.items():
+            r = len(labels)
+            labels.append(f"{kind}:{i}")
+            if sign < 0:
+                entries.append((r, 0, 1.0))
+            for v, a in row.items():
+                if v not in col:
+                    raise ValueError(f"{kind} {i} references unknown agent {v}")
+                entries.append((r, col[v], sign * a))
+    r, c, a = zip(*entries)
+    return MaxMinLP(
+        columns=("omega",) + tuple(f"x{v}" for v in sub_instance.agents),
+        rows=tuple(labels),
+        entries=(np.array(r, dtype=np.intp), np.array(c, dtype=np.intp), np.array(a)),
+        rhs=np.array([1.0] * len(sub_instance.resources) + [0.0] * len(sub_instance.beneficiaries)),
     )
 
 
-def _pivot(T, basis, obj, pr, pc):
-    T[pr] /= T[pr, pc]
+def _load(T, lp):
+    """Write [A | b] over the first m rows of T and [c | 0] below them.
+
+    The objective row, maximise omega, becomes the reduced costs of the
+    nonbasic slots under pivoting, and its last entry minus the objective.
+    """
+    T.fill(0.0)
+    r, c, a = lp.entries
+    T[r, c] = a
+    T[:-1, -1] = lp.rhs
+    T[-1, 0] = 1.0
+
+
+def _pivot(T, pr, pc):
+    """Exchange the variable basic in row pr with the one in slot pc.
+
+    Row pr is scaled to a unit pivot and slot pc cleared from every other
+    row by elementwise row operations; the slot then holds the leaving
+    variable's column.
+    """
+    pivot = T[pr, pc]
     factors = T[:, pc].copy()
+    row = T[pr]
+    row /= pivot
     factors[pr] = 0.0
-    T -= np.outer(factors, T[pr])
-    obj -= obj[pc] * T[pr]
-    # kill residual drift in the pivot column so later scans stay clean
-    T[:, pc] = 0.0
-    T[pr, pc] = 1.0
-    obj[pc] = 0.0
-    basis[pr] = pc
+    T -= np.outer(factors, row)
+    T[:, pc] = -factors / pivot
+    row[pc] = 1.0 / pivot
 
 
-def _price_out(obj, T, basis):
-    for i, b in enumerate(basis):
-        if obj[b] != 0.0:
-            obj -= obj[b] * T[i]
-            obj[b] = 0.0
+def _activity(lp, x):
+    """Row activities A x of the structural point x."""
+    r, c, a = lp.entries
+    return np.bincount(r, weights=a * x[c], minlength=len(lp.rows))
 
 
-def _run_simplex(T, basis, obj, n_enterable):
-    """Bland iterations until optimal or unbounded.
+class _Solve:
+    """One run of the simplex on a condensed tableau.
 
-    Entering column: lowest index with improving potential above PIVOT_TOL.
-    Leaving row: minimum ratio, ties broken by lowest basic-variable index.
+    ``T`` has a row per constraint plus the objective row, and a slot per
+    nonbasic variable plus the right-hand side; basic columns are unit
+    vectors and are not stored.  Variable j < n is structural column j and
+    variable n + i the slack of row i.  ``basis[i]`` is the variable basic
+    in row i, ``nonbasic[s]`` the one in slot s.
     """
-    for _ in range(_MAX_PIVOTS):
-        eligible = np.flatnonzero(obj[:n_enterable] > PIVOT_TOL)
+
+    def __init__(self, lp):
+        self.lp = lp
+        self.m, self.n = m, n = len(lp.rows), len(lp.columns)
+        self.T = np.empty((m + 1, n + 1))
+        _load(self.T, lp)
+        self.basis = n + np.arange(m)
+        self.nonbasic = np.arange(n)
+        self.budget = _PIVOT_BUDGET_FACTOR * (m + n)
+        self.pivots = 0
+        self.residual = 0.0
+
+    def point(self):
+        """Values of all n + m variables at the current basis."""
+        point = np.zeros(self.n + self.m)
+        point[self.basis] = self.T[:-1, -1]
+        return point
+
+    def measure_residual(self):
+        """Largest |A x + s - b| of the basic point, in the program's own rows."""
+        point = self.point()
+        gap = _activity(self.lp, point[: self.n]) + point[self.n :] - self.lp.rhs
+        self.residual = float(np.abs(gap).max())
+
+    def refuse(self, what):
+        raise ArithmeticError(
+            f"simplex {what} on {self.m} rows and {self.n} columns after "
+            f"{self.pivots} pivots; last primal residual {self.residual:.3g}"
+        )
+
+    def exchange(self, pr, pc):
+        _pivot(self.T, pr, pc)
+        self.basis[pr], self.nonbasic[pc] = self.nonbasic[pc], self.basis[pr]
+
+    def rebuild(self):
+        """Reload the program and eliminate the structural basic columns.
+
+        Rows whose slack stays basic keep it.  Each structural basic column,
+        ascending, is pivoted into the open row with the largest entry, a row
+        being open while its slack is neither basic nor pivoted out.
+        """
+        m, n, T = self.m, self.n, self.T
+        self.measure_residual()
+        structural = np.sort(self.basis[self.basis < n])
+        open_rows = np.ones(m, dtype=bool)
+        open_rows[self.basis[self.basis >= n] - n] = False
+        _load(T, self.lp)
+        self.basis = n + np.arange(m)
+        self.nonbasic = np.arange(n)
+        for j in structural:
+            candidates = np.flatnonzero(open_rows)
+            size = np.abs(T[candidates, j])
+            best = int(np.argmax(size))
+            if size[best] < SINGULAR_TOL:
+                self.refuse(
+                    f"found a singular basis at a rebuild (column {j}, "
+                    f"largest pivot {size[best]:.3g})"
+                )
+            pr = int(candidates[best])
+            self.exchange(pr, j)
+            open_rows[pr] = False
+
+    def entering(self, bland):
+        """Slot of the entering variable, or None at optimality."""
+        cost = self.T[-1, :-1]
+        eligible = np.flatnonzero(cost > OPTIMALITY_TOL)
         if eligible.size == 0:
-            return OPTIMAL
-        pc = int(eligible[0])
-        column = T[:, pc]
-        rows = np.flatnonzero(column > PIVOT_TOL)
-        if rows.size == 0:
-            return UNBOUNDED
-        ratios = T[rows, -1] / column[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best]
-        pr = int(min(tied, key=lambda i: basis[i]))
-        _pivot(T, basis, obj, pr, pc)
-    raise ArithmeticError("simplex failed to terminate; Bland's rule should preclude this")
+            return None
+        if not bland:
+            eligible = eligible[cost[eligible] == cost[eligible].max()]
+        return int(eligible[np.argmin(self.nonbasic[eligible])])
 
-
-def _simplex_standard(A, b, c):
-    """maximise c @ y  s.t.  A y <= b, y >= 0.  Two phases when needed."""
-    m, n = A.shape
-    A = A.astype(float).copy()
-    b = b.astype(float).copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    art_rows = np.flatnonzero(neg)
-    n_art = len(art_rows)
-    ncols = n + m + n_art
-
-    T = np.zeros((m, ncols + 1))
-    T[:, :n] = A
-    for i in range(m):
-        T[i, n + i] = -1.0 if neg[i] else 1.0
-    basis = np.empty(m, dtype=int)
-    basis[:] = np.arange(n, n + m)
-    for t, i in enumerate(art_rows):
-        T[i, n + m + t] = 1.0
-        basis[i] = n + m + t
-    T[:, -1] = b
-
-    if n_art:
-        obj = np.zeros(ncols + 1)
-        obj[n + m : ncols] = -1.0
-        _price_out(obj, T, basis)
-        status = _run_simplex(T, basis, obj, ncols)
-        if status != OPTIMAL or obj[-1] > FEASIBILITY_TOL:
-            return INFEASIBLE, None
-        # pivot lingering artificials out; rows that cannot release one are
-        # redundant (all-real-zero) and stay inert for phase 2
-        for i in range(m):
-            if basis[i] >= n + m:
-                real = np.flatnonzero(np.abs(T[i, : n + m]) > PIVOT_TOL)
-                if real.size:
-                    _pivot(T, basis, obj, i, int(real[0]))
-
-    obj = np.zeros(ncols + 1)
-    obj[:n] = c
-    _price_out(obj, T, basis)
-    status = _run_simplex(T, basis, obj, n + m)
-    if status != OPTIMAL:
-        return status, None
-
-    y = np.zeros(ncols)
-    y[basis] = T[:, -1]
-    return OPTIMAL, y[:n]
-
-
-def solve_deterministic(lp):
-    """Solve an arbitrary well-formed program.
-
-    Free variables are split into positive and negative parts so the tableau
-    only ever sees nonnegative columns; the split preserves the canonical
-    column order.  The returned point is verified feasible within 1e-9.
-    """
-    cols = []
-    ncols = 0
-    for flag in lp.nonneg:
-        if flag:
-            cols.append((ncols, None))
-            ncols += 1
-        else:
-            cols.append((ncols, ncols + 1))
-            ncols += 2
-
-    m = lp.row_coeffs.shape[0]
-    A = np.zeros((m, ncols))
-    c = np.zeros(ncols)
-    for j, (pos, negc) in enumerate(cols):
-        A[:, pos] = lp.row_coeffs[:, j]
-        c[pos] = lp.objective[j]
-        if negc is not None:
-            A[:, negc] = -lp.row_coeffs[:, j]
-            c[negc] = -lp.objective[j]
-
-    status, y = _simplex_standard(A, np.asarray(lp.row_rhs, dtype=float), c)
-    if status != OPTIMAL:
-        return LpSolution(status, {}, None)
-
-    values = {}
-    for name, (pos, negc) in zip(lp.variables, cols):
-        values[name] = float(y[pos] - (y[negc] if negc is not None else 0.0))
-
-    vec = np.array([values[name] for name in lp.variables])
-    slack = lp.row_coeffs @ vec - lp.row_rhs
-    lowest = min(
-        (values[name] for name, flag in zip(lp.variables, lp.nonneg) if flag),
-        default=0.0,
-    )
-    if (slack.size and slack.max() > FEASIBILITY_TOL) or lowest < -FEASIBILITY_TOL:
-        raise ArithmeticError("simplex returned an infeasible point")
-    return LpSolution(OPTIMAL, values, float(lp.objective @ vec))
+    def run(self):
+        """Pivot to an optimal basis that survives a final rebuild."""
+        since_rebuild = degenerate = 0
+        while True:
+            pc = self.entering(degenerate >= self.m)
+            if pc is None:
+                if since_rebuild == 0:
+                    return
+                self.rebuild()
+                since_rebuild = 0
+                continue
+            if self.pivots >= self.budget:
+                self.measure_residual()
+                self.refuse(f"exhausted its budget of {self.budget} pivots")
+            column = self.T[:-1, pc]
+            rows = np.flatnonzero(column > PIVOT_TOL)
+            if rows.size == 0:
+                self.refuse(
+                    f"found variable {self.nonbasic[pc]} unbounded; zero "
+                    "activity is always feasible and resources bound the rest"
+                )
+            ratios = np.maximum(self.T[rows, -1], 0.0) / column[rows]
+            step = ratios.min()
+            tied = rows[ratios == step]
+            self.exchange(int(tied[np.argmin(self.basis[tied])]), pc)
+            self.pivots += 1
+            since_rebuild += 1
+            degenerate = degenerate + 1 if step == 0.0 else 0
+            if since_rebuild == self.m:
+                self.rebuild()
+                since_rebuild = 0
 
 
 def solve_maxmin(sub_instance):
     """Canonical optimum of the assembled max-min LP: (assignment, omega).
 
     The fixed pivot path makes the answer a pure function of the
-    sub-instance.  Infeasible or unbounded statuses cannot legitimately occur
-    (zero activity is always feasible and the packing rows bound everything),
-    so they surface as internal errors.
+    sub-instance.  Raises ``ArithmeticError``, naming the program's size,
+    the pivots done and the last primal residual, when the budget of
+    ``_PIVOT_BUDGET_FACTOR`` pivots per row and column is spent, when a
+    rebuild meets a singular basis, or when the point found violates a row
+    or a sign by more than ``FEASIBILITY_TOL``.
     """
     lp = assemble_maxmin_lp(sub_instance)
-    sol = solve_deterministic(lp)
-    if sol.status != OPTIMAL:
-        raise ArithmeticError(
-            f"assembled max-min LP reported {sol.status}; "
-            "zero activity is always feasible and resources bound the rest"
-        )
-    values = {v: max(0.0, sol.values[f"x{v}"]) for v in sub_instance.agents}
-    return Assignment(values), max(0.0, sol.values["omega"])
+    solve = _Solve(lp)
+    solve.run()
+    x = solve.point()[: solve.n]
+    excess = _activity(lp, np.maximum(x, 0.0)) - lp.rhs
+    if x.min() < -FEASIBILITY_TOL or excess.max() > FEASIBILITY_TOL:
+        solve.refuse("returned an infeasible point")
+    values = {v: max(0.0, float(x[1 + t])) for t, v in enumerate(sub_instance.agents)}
+    return Assignment(values), max(0.0, float(x[0]))

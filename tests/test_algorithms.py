@@ -177,6 +177,18 @@ def test_averaging_per_beneficiary_bound_on_perturbed_torus(R):
         assert benefit >= profile.beta * (m_k / M_k) * omega_star - 1e-9
 
 
+@pytest.mark.parametrize("seed", [2, 16, 23])
+def test_averaging_runs_on_tori_whose_ball_lps_once_failed(seed):
+    # local-avg with R=2 exited 1 on these 8x8 tori while the simplex drifted
+    inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=seed))
+    out = run_local(inst, LocalAveraging(2))
+    ok, worst = feasibility(inst, out, tol=1e-9)
+    assert ok, worst
+    _, omega_star = solve_maxmin(inst)
+    certificate = oracles.growth(inst, 1) * oracles.growth(inst, 2)
+    assert objective(inst, out) >= omega_star / float(certificate) - 1e-9
+
+
 def test_run_local_rejects_invalid_instances():
     broken = Instance((0, 1), {0: {0: 1.0}}, {1: {1: 1.0}})  # agent 1 uncovered
     with pytest.raises(ValueError, match="failed validation"):
@@ -336,10 +348,19 @@ def test_editing_a_ball_optimum_does_not_reach_the_memo():
     assert run_local(inst, _Clobbering(1)).values == run_local(inst, LocalAveraging(1)).values
 
 
-def test_failing_ball_lp_names_agent_ball_and_radius():
-    # a known fault of the simplex (tableau drift) on this torus; the error
-    # must say which agent was deciding and which ball LP failed
+def test_failing_ball_lp_names_agent_ball_and_radius(monkeypatch):
+    # the solver is made to fail on the LP of one ball; the error must say
+    # which agent was deciding and which ball LP failed
     inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=2))
+    doomed = tuple(sorted(oracles.ball(inst, 32, 2)))
+    real = algorithms.solve_maxmin
+
+    def failing(sub):
+        if sub.agents == doomed:
+            raise ArithmeticError("simplex returned an infeasible point")
+        return real(sub)
+
+    monkeypatch.setattr(algorithms, "solve_maxmin", failing)
     with pytest.raises(LocalAlgorithmError) as info:
         run_local(inst, LocalAveraging(2))
     assert isinstance(info.value.__cause__, ArithmeticError)

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+import oracles
 from cli_child import cli
 from maxminlp.model import load_instance
 
@@ -52,6 +54,45 @@ def test_solve_prints_and_writes(tmp_path):
     assert payload["omega"] == pytest.approx(1.0, abs=1e-9)
     assert set(payload["values"]) == {str(v) for v in range(9)}
     assert payload["config"] == {"command": "solve"}
+
+
+def test_solve_answers_a_random_200_agent_instance_promptly(tmp_path):
+    # this instance ran 200,000 pivots and 104 s before the simplex raised
+    path = tmp_path / "rand.json"
+    made = cli(
+        "gen-random", "--agents", "200", "--max-support", "3", "--seed", "1",
+        "-o", str(path),
+    )
+    assert made.returncode == 0, made.stderr
+    start = time.perf_counter()
+    proc = cli("solve", str(path), "-o", str(tmp_path / "sol.json"))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
+    omega = json.loads((tmp_path / "sol.json").read_text())["omega"]
+    assert omega == pytest.approx(oracles.exact_maxmin(load_instance(path)), abs=1e-9)
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the simplex uses elementwise numpy only, so a single-threaded BLAS must
+    # give the same bytes: a local-avg run (the golden torus) and a solve
+    cases = (
+        (("gen-torus", "--dim", "2", "--side", "6", "--perturb", "--seed", "0"),
+         ("run", "in.json", "--algorithm", "local-avg", "--radius", "1")),
+        (("gen-torus", "--dim", "2", "--side", "10", "--perturb", "--seed", "3"),
+         ("solve", "in.json")),
+    )
+    for make, command in cases:
+        outputs = []
+        for env in (None, {"OPENBLAS_NUM_THREADS": "1"}):
+            work = tmp_path / f"{command[0]}-{len(outputs)}"
+            work.mkdir()
+            made = cli(*make, "-o", "in.json", cwd=work, env=env)
+            assert made.returncode == 0, made.stderr
+            proc = cli(*command, "-o", "out.json", cwd=work, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(((work / "out.json").read_bytes(), proc.stdout))
+        assert outputs[0] == outputs[1], command[0]
 
 
 def test_run_and_eval_round_trip(tmp_path):

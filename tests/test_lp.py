@@ -1,31 +1,14 @@
+import re
+import time
+
 import numpy as np
 import pytest
 
 import oracles
+from maxminlp import lp
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.lp import (
-    EmptyBeneficiaryError,
-    INFEASIBLE,
-    LinearProgram,
-    OPTIMAL,
-    UNBOUNDED,
-    assemble_maxmin_lp,
-    solve_deterministic,
-    solve_maxmin,
-)
+from maxminlp.lp import EmptyBeneficiaryError, assemble_maxmin_lp, solve_maxmin
 from maxminlp.model import Instance
-
-
-def lp(objective, rows, rhs, nonneg=None, variables=None):
-    objective = np.asarray(objective, dtype=float)
-    n = len(objective)
-    return LinearProgram(
-        variables=tuple(variables or (f"x{j}" for j in range(n))),
-        objective=objective,
-        row_coeffs=np.asarray(rows, dtype=float).reshape(-1, n),
-        row_rhs=np.asarray(rhs, dtype=float),
-        nonneg=tuple(nonneg if nonneg is not None else [True] * n),
-    )
 
 
 def test_assemble_epigraph_layout():
@@ -35,16 +18,19 @@ def test_assemble_epigraph_layout():
         beneficiaries={1: {4: 3.0}, 2: {7: 0.5}},
     )
     prog = assemble_maxmin_lp(inst)
-    assert prog.variables == ("omega", "x4", "x7")
-    assert prog.row_labels == ("resource:0", "beneficiary:1", "beneficiary:2")
-    assert prog.row_coeffs.tolist() == [
-        [0.0, 1.0, 2.0],
-        [1.0, -3.0, 0.0],
-        [1.0, 0.0, -0.5],
+    assert prog.columns == ("omega", "x4", "x7")
+    assert prog.rows == ("resource:0", "beneficiary:1", "beneficiary:2")
+    assert prog.rhs.tolist() == [1.0, 0.0, 0.0]
+    # the tableau the solver starts from and every rebuild reloads: the
+    # constraint rows and right-hand sides, then the objective (maximise omega)
+    tableau = np.empty((len(prog.rows) + 1, len(prog.columns) + 1))
+    lp._load(tableau, prog)
+    assert tableau.tolist() == [
+        [0.0, 1.0, 2.0, 1.0],
+        [1.0, -3.0, 0.0, 0.0],
+        [1.0, 0.0, -0.5, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
     ]
-    assert prog.row_rhs.tolist() == [1.0, 0.0, 0.0]
-    assert prog.objective.tolist() == [1.0, 0.0, 0.0]
-    assert prog.nonneg == (False, True, True)
 
 
 def test_assemble_requires_a_beneficiary():
@@ -53,43 +39,25 @@ def test_assemble_requires_a_beneficiary():
         assemble_maxmin_lp(inst)
 
 
-def test_bounded_basic_lp():
-    # max x0 + x1 st x0 <= 2, x1 <= 3: corner at (2, 3)
-    sol = solve_deterministic(lp([1, 1], [[1, 0], [0, 1]], [2, 3]))
-    assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(5.0, abs=1e-9)
-    assert sol.values == {"x0": pytest.approx(2.0), "x1": pytest.approx(3.0)}
-
-
-def test_infeasible_lp_detected():
-    # x0 <= -1 contradicts x0 >= 0
-    sol = solve_deterministic(lp([1], [[1]], [-1]))
-    assert sol.status == INFEASIBLE
-    assert sol.objective is None
-
-
 def test_unbounded_lp_detected():
-    sol = solve_deterministic(lp([1, 0], [[0, 1]], [1]))
-    assert sol.status == UNBOUNDED
-
-
-def test_free_variable_can_go_negative():
-    # minimise nothing, just force y = -2 via two inequalities
-    sol = solve_deterministic(
-        lp([0, -1], [[0, 1], [0, -1]], [-2, 2], nonneg=[True, False])
-    )
-    assert sol.status == OPTIMAL
-    assert sol.values["x1"] == pytest.approx(-2.0)
+    # agent 1 earns benefit but no resource caps it
+    inst = Instance((0, 1), {0: {0: 1.0}}, {1: {0: 1.0, 1: 1.0}})
+    with pytest.raises(ArithmeticError, match="unbounded"):
+        solve_maxmin(inst)
 
 
 def test_degenerate_ties_resolve_identically():
-    # many rows active at the optimum; rerunning must replay the same pivots
-    prog = lp([1, 1, 1], [[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]], [1, 1, 1, 1])
-    first = solve_deterministic(prog)
+    # the last resource row caps the benefit row at 1 and every point of
+    # x0 + x1 + x2 = 1 reaches it; entering x0 ties three rows at ratio 1.
+    # Re-solving must replay the same path and return the same point
+    res = {0: {0: 1.0, 1: 1.0}, 1: {1: 1.0, 2: 1.0}, 2: {0: 1.0, 2: 1.0}, 3: {0: 1.0, 1: 1.0, 2: 1.0}}
+    inst = Instance((0, 1, 2), res, {4: {0: 1.0, 1: 1.0, 2: 1.0}})
+    first = solve_maxmin(inst)
+    assert first[1] == pytest.approx(1.0, abs=1e-12)
     for _ in range(3):
-        again = solve_deterministic(prog)
-        assert again.values == first.values
-        assert again.objective == first.objective
+        again = solve_maxmin(inst)
+        assert again[0].values == first[0].values
+        assert again[1] == first[1]
 
 
 def two_agent():
@@ -173,3 +141,109 @@ def test_omega_never_negative():
     inst = Instance((0,), {0: {0: 1.0}}, {1: {0: 1e-9}})
     _, omega = solve_maxmin(inst)
     assert omega >= 0.0
+
+
+def _refusal(message):
+    match = re.search(
+        r"on (\d+) rows and (\d+) columns after (\d+) pivots; "
+        r"last primal residual (\S+)$",
+        message,
+    )
+    assert match, message
+    return tuple(int(g) for g in match.groups()[:3]) + (float(match.group(4)),)
+
+
+def _size(inst):
+    return len(inst.resources) + len(inst.beneficiaries), 1 + len(inst.agents)
+
+
+def test_pivot_budget_is_a_function_of_the_program_size(monkeypatch):
+    # the uniform 10x10 torus needs 370 pivots on 200 rows and 101 columns;
+    # a factor of 1 allows rows + columns = 301, and the refusal comes as
+    # soon as they are spent
+    inst = gen_torus(TorusParams(dim=2, side=10))
+    rows, columns = _size(inst)
+    assert solve_maxmin(inst)[1] == pytest.approx(1.0, abs=1e-9)
+    monkeypatch.setattr(lp, "_PIVOT_BUDGET_FACTOR", 1)
+    with pytest.raises(ArithmeticError, match=f"exhausted its budget of {rows + columns} pivots") as info:
+        solve_maxmin(inst)
+    *counts, residual = _refusal(str(info.value))
+    assert counts == [rows, columns, rows + columns]
+    assert 0.0 <= residual < 1e-9
+
+
+def test_singular_basis_at_a_rebuild_is_refused(monkeypatch):
+    # no entry passes a partial-pivot threshold above every coefficient, so
+    # the first rebuild must refuse instead of pivoting on noise
+    inst = gen_random(12, 3, seed=1)
+    monkeypatch.setattr(lp, "SINGULAR_TOL", 1e9)
+    with pytest.raises(ArithmeticError, match="singular basis at a rebuild") as info:
+        solve_maxmin(inst)
+    rows, columns, pivots, _ = _refusal(str(info.value))
+    assert (rows, columns) == _size(inst)
+    assert 0 < pivots <= rows
+
+
+def test_rebuilds_run_every_m_pivots_and_depend_on_the_basis_alone():
+    prog = assemble_maxmin_lp(_torus(10, 3))
+    m = len(prog.rows)
+    solve = lp._Solve(prog)
+    rebuild = solve.rebuild
+    at = []
+
+    def counted():
+        at.append(solve.pivots)
+        rebuild()
+
+    solve.rebuild = counted
+    solve.run()
+    # at least one rebuild per m pivots, and the last one after the last pivot
+    assert all(0 < b - a <= m for a, b in zip([0] + at, at))
+    assert at[-1] == solve.pivots
+    # a rebuild wipes whatever drift the tableau carries: the result is a
+    # function of the basis, and its basic point satisfies the rows
+    final, basis = solve.T.copy(), solve.basis.copy()
+    solve.T += 1e-9
+    rebuild()
+    assert np.array_equal(solve.T, final)
+    assert np.array_equal(solve.basis, basis)
+    solve.measure_residual()
+    assert solve.residual < 1e-12
+
+
+def _torus(side, seed):
+    return gen_torus(TorusParams(dim=2, side=side, perturb=True, seed=seed))
+
+
+AGREEMENT_CASES = {
+    **{f"torus{side}x{side}-seed{seed}": (side, seed) for side, seed in (
+        (8, 2), (10, 3), (11, 2), (12, 0), (13, 2), (14, 0), (14, 1)
+    )},
+    "uniform14x14": (14, None),
+    **{f"random200-seed{seed}": (200, seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_optimum_agrees_with_a_tight_reference_within_budget(case):
+    # tori up to the oracle cap that the drifting Bland simplex got wrong or
+    # took minutes on; each must solve within 20 s and agree to 1e-9
+    size, seed = AGREEMENT_CASES[case]
+    if case.startswith("random"):
+        inst = gen_random(size, 3, seed=seed)
+    elif seed is None:
+        inst = gen_torus(TorusParams(dim=2, side=size))
+    else:
+        inst = _torus(size, seed)
+    start = time.perf_counter()
+    x, omega = solve_maxmin(inst)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, f"took {elapsed:.1f}s, budget 20s"
+    assert omega == pytest.approx(oracles.exact_maxmin(inst), abs=1e-9)
+    for row in inst.resources.values():
+        assert sum(a * x.values[v] for v, a in row.items()) <= 1.0 + 1e-9
+    worst = min(
+        sum(c * x.values[v] for v, c in row.items())
+        for row in inst.beneficiaries.values()
+    )
+    assert worst == pytest.approx(omega, abs=1e-9)
