@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 
-from .hypergraph import extract_view
+from .hypergraph import distances, extract_view
 from .lp import solve_maxmin
 from .model import Assignment, Instance, validate
 
@@ -94,28 +94,14 @@ def view_ball(view, adj, start, radius):
     """Radius-``radius`` ball around ``start`` walked over view-visible edges.
 
     Expanding a node requires knowing all of its hyperedges, which the view
-    only guarantees for members; walking beyond that is a locality violation
-    and raises rather than silently truncating.
+    only guarantees for members.  Any non-member the walk expands lies in the
+    ball it returns, so a ball that leaves the members is a locality
+    violation and raises rather than silently truncating.
     """
     members = set(view.members)
     if start not in members:
         raise LocalAlgorithmError(f"agent {start} is outside the view of {view.center}")
-    dist = {start: 0}
-    frontier = [start]
-    for depth in range(radius):
-        nxt = []
-        for u in frontier:
-            if u not in members:
-                raise LocalAlgorithmError(
-                    f"ball of radius {radius} around {start} needs edges of {u}, "
-                    f"which lies outside the view of {view.center}"
-                )
-            for w in adj.get(u, ()):
-                if w not in dist:
-                    dist[w] = depth + 1
-                    nxt.append(w)
-        frontier = nxt
-    ball = frozenset(dist)
+    ball = frozenset(distances(adj, start, radius))
     if not ball <= members:
         raise LocalAlgorithmError(
             f"ball of radius {radius} around {start} leaves the view of {view.center}"

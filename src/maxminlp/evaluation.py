@@ -1,9 +1,11 @@
 """Judging assignments: feasibility, objectives, ratios, structural checks.
 
-Quantities that certify algorithm guarantees (ball statistics, level sums,
-acyclicity) are recomputed here from the raw rows with self-contained code,
-so this module can serve as an independent check on the algorithm modules
-rather than inheriting their bugs.
+The structural checks the adversary relies on (level sums, acyclicity) are
+recomputed here from the raw rows with self-contained code, so this module
+can serve as an independent check on the algorithm modules rather than
+inheriting their bugs.  The ball statistics that the averaging guarantee
+quotes live in ``tests/oracles.py`` (``locality_profile``), next to the
+other reference implementations that share no code with the package.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from .hypergraph import growth_factor
 from .lp import solve_maxmin
 
 DEFAULT_ORACLE_CAP = 200
-
-
-class OracleUnavailableError(RuntimeError):
-    """The exact oracle was declined because the instance exceeds the cap."""
 
 
 def _check_domain(instance, assignment):
@@ -63,24 +61,6 @@ def objective(instance, assignment):
     return min(got.values())
 
 
-def approximation_ratio(instance, assignment, oracle_cap=DEFAULT_ORACLE_CAP):
-    """optimum / achieved, from the exact LP oracle.
-
-    Returns ``math.inf`` when the achieved objective is zero but the optimum
-    is positive ("unbounded" ratio -- a report value, not an error).  Raises
-    OracleUnavailableError above the cap instead of silently grinding.
-    """
-    if len(instance.agents) > oracle_cap:
-        raise OracleUnavailableError(
-            f"oracle unavailable: {len(instance.agents)} agents exceed the cap of {oracle_cap}"
-        )
-    achieved = objective(instance, assignment)
-    _, optimum = solve_maxmin(instance)
-    if achieved <= 0.0:
-        return math.inf if optimum > 0.0 else 1.0
-    return optimum / achieved
-
-
 @dataclass
 class EvaluationReport:
     feasible: bool
@@ -114,6 +94,8 @@ def evaluate(instance, assignment, tol=1e-9, R=None, oracle_cap=DEFAULT_ORACLE_C
     Passing the averaging radius R adds the growth certificate
     gamma(R-1) * gamma(R) that the averaged-local-solutions guarantee quotes.
     """
+    if R is not None and R < 1:
+        raise ValueError("the certificate needs R >= 1")
     feasible, worst = feasibility(instance, assignment, tol)
     got = benefits(instance, assignment)
     notes = []
@@ -139,8 +121,6 @@ def evaluate(instance, assignment, tol=1e-9, R=None, oracle_cap=DEFAULT_ORACLE_C
 
     certificate = None
     if R is not None:
-        if R < 1:
-            raise ValueError("the certificate needs R >= 1")
         certificate = float(growth_factor(instance, R - 1) * growth_factor(instance, R))
 
     return EvaluationReport(
@@ -237,62 +217,3 @@ def level_sums(meta, assignment):
         raise ValueError("no tree has been selected yet")
     x = assignment.values
     return [sum(x[v] for v in level) for level in meta.tree_levels[meta.p]]
-
-
-@dataclass(frozen=True)
-class LocalityProfile:
-    """Ball statistics the averaging guarantee quotes.
-
-    per_resource maps i -> (n_i, N_i): the smallest radius-R ball among the
-    row's agents and the size of the union of their balls.  per_beneficiary
-    maps k -> (m_k, M_k): the size of the intersection of the row's balls and
-    the largest ball.  beta = min_i n_i / N_i.
-    """
-
-    beta: float
-    per_resource: dict
-    per_beneficiary: dict
-
-
-def locality_profile(instance, R):
-    if R < 1:
-        raise ValueError("R must be a positive integer")
-    adj = {v: set() for v in instance.agents}
-    for mapping in (instance.resources, instance.beneficiaries):
-        for row in mapping.values():
-            members = list(row)
-            for v in members:
-                adj[v].update(members)
-    for v, neighbours in adj.items():
-        neighbours.discard(v)
-
-    def ball(v):
-        seen = {v}
-        frontier = {v}
-        for _ in range(R):
-            frontier = {w for u in frontier for w in adj[u]} - seen
-            seen |= frontier
-        return seen
-
-    balls = {v: ball(v) for v in instance.agents}
-
-    beta = math.inf
-    per_resource = {}
-    for i, row in instance.resources.items():
-        sizes = [len(balls[v]) for v in row]
-        union = set()
-        for v in row:
-            union |= balls[v]
-        n_i, N_i = min(sizes), len(union)
-        per_resource[i] = (n_i, N_i)
-        beta = min(beta, n_i / N_i)
-
-    per_beneficiary = {}
-    for k, row in instance.beneficiaries.items():
-        members = list(row)
-        inter = set(balls[members[0]])
-        for v in members[1:]:
-            inter &= balls[v]
-        per_beneficiary[k] = (len(inter), max(len(balls[v]) for v in members))
-
-    return LocalityProfile(beta=beta, per_resource=per_resource, per_beneficiary=per_beneficiary)

@@ -1,48 +1,53 @@
-"""Communication structure of an instance: hyperedges, distances, balls, views.
+"""Communication structure of an instance: distances, balls, views.
 
-Every support set is one hyperedge over the agents, tagged by the row that
-induced it (so identical supports stay distinct).  Two agents are adjacent
-when they share a hyperedge, and distance counts hyperedge hops.  Everything
-an agent may learn within r hops is packaged as a :class:`View`.
+Two agents are adjacent when some row's support holds both, and distance
+counts row hops.  :func:`distances` is the package's one breadth-first search
+over such an adjacency; balls, growth factors, views, the local algorithms'
+subproblems and the adversary's carve all walk through it.  Everything an
+agent may learn within r hops is packaged as a :class:`View`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-RESOURCE = "resource"
-BENEFICIARY = "beneficiary"
 
+def distances(adj, start, limit=None):
+    """Hop distances from ``start`` over ``adj``, none beyond ``limit``.
 
-@dataclass(frozen=True)
-class HyperEdge:
-    kind: str
-    origin: int
-    members: tuple
+    ``adj`` maps a node to its neighbours; a node it does not list has none.
+    The search goes level by level and expands nothing at depth ``limit``.
+    """
+    dist = {start: 0}
+    frontier = [start]
+    depth = 0
+    while frontier and (limit is None or depth < limit):
+        depth += 1
+        reached = []
+        for u in frontier:
+            for w in adj.get(u, ()):
+                if w not in dist:
+                    dist[w] = depth
+                    reached.append(w)
+        frontier = reached
+    return dist
 
 
 class Hypergraph:
     """Shared-support adjacency over the agents, built once per instance."""
 
     def __init__(self, instance):
-        self.vertices = instance.agents
-        edges = []
-        for i, row in instance.resources.items():
-            edges.append(HyperEdge(RESOURCE, i, tuple(row)))
-        for k, row in instance.beneficiaries.items():
-            edges.append(HyperEdge(BENEFICIARY, k, tuple(row)))
-        self.edges = tuple(edges)
-
-        adj = {v: set() for v in self.vertices}
-        for edge in self.edges:
-            for v in edge.members:
-                if v not in adj:
-                    raise ValueError(
-                        f"{edge.kind} {edge.origin} references unknown agent {v}"
-                    )
-                adj[v].update(edge.members)
+        adj = {v: set() for v in instance.agents}
+        for kind, rows in (
+            ("resource", instance.resources),
+            ("beneficiary", instance.beneficiaries),
+        ):
+            for rid, row in rows.items():
+                for v in row:
+                    if v not in adj:
+                        raise ValueError(f"{kind} {rid} references unknown agent {v}")
+                    adj[v].update(row)
         for v, neighbours in adj.items():
             neighbours.discard(v)
         self._adj = {v: tuple(sorted(neighbours)) for v, neighbours in adj.items()}
@@ -51,18 +56,7 @@ class Hypergraph:
         """Hop distances from ``v``, optionally cut off beyond ``limit``."""
         if v not in self._adj:
             raise ValueError(f"unknown agent id {v}")
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            d = dist[u]
-            if limit is not None and d >= limit:
-                continue
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = d + 1
-                    queue.append(w)
-        return dist
+        return distances(self._adj, v, limit)
 
     def ball(self, v, r):
         if r < 0:
@@ -77,11 +71,6 @@ def hypergraph(instance):
         hg = Hypergraph(instance)
         instance._cache["hypergraph"] = hg
     return hg
-
-
-def neighbourhood_ball(instance, v, r):
-    """Agents within r hyperedge hops of ``v`` (``v`` included)."""
-    return hypergraph(instance).ball(v, r)
 
 
 def growth_factor(instance, r):

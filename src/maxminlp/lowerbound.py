@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .evaluation import feasibility, level_sums, objective
 from .hypergraph import hypergraph
-from .model import Assignment, Instance, STRICT, restrict
+from .model import Assignment, Instance, restrict
 from .algorithms import InvalidInstanceError, run_local
 
 DEFAULT_NODE_CAP = 200_000
@@ -65,10 +65,6 @@ class Hypertree:
     @property
     def leaves(self):
         return self.levels[-1]
-
-    def nodes(self):
-        for level in self.levels:
-            yield from level
 
 
 def hypertree_node_count(d, D, height):
@@ -447,8 +443,8 @@ def select_hard_subinstance(instance, meta, assignment):
 
     delta(q) sums x(leaf) - x(partner) over q's leaves; the deltas cancel
     globally because the pairing is an involution, so the best tree is never
-    negative.  Ties go to the lowest template vertex id.  The carve uses the
-    strict restriction, so only rows fully inside survive.
+    negative.  Ties go to the lowest template vertex id.  The carve keeps only
+    rows fully inside.
     """
     x = assignment.values
     delta = {}
@@ -469,7 +465,7 @@ def select_hard_subinstance(instance, meta, assignment):
     H = hypergraph(instance)
     for leaf in meta.tree_levels[p][-1]:
         keep |= H.ball(leaf, 2 * meta.r)
-    sub = restrict(instance, keep, STRICT)
+    sub = restrict(instance, keep)
     meta_after = replace(
         meta, p=p, root=meta.tree_levels[p][0][0], selected_agents=frozenset(keep), delta=delta
     )

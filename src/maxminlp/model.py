@@ -15,12 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-STRICT = "strict"
-PARTIAL = "partial"
-
 
 @dataclass
 class Instance:
@@ -146,14 +142,9 @@ def validate(instance):
     return ValidationReport(violations, bounds)
 
 
-def restrict(instance, agent_set, mode):
-    """Sub-instance induced on ``agent_set``.
-
-    ``strict`` keeps only rows whose support lies fully inside the set.
-    ``partial`` keeps every resource that meets the set with its support
-    clipped to the set, while beneficiaries are still kept only when fully
-    inside (a clipped benefit row would misstate the benefit).  Coefficients
-    and ids are never rewritten.
+def restrict(instance, agent_set):
+    """Sub-instance induced on ``agent_set``: the rows whose support lies fully
+    inside it.  Coefficients and ids are never rewritten.
     """
     kept = frozenset(agent_set)
     if not kept:
@@ -161,24 +152,11 @@ def restrict(instance, agent_set, mode):
     unknown = kept - set(instance.agents)
     if unknown:
         raise ValueError(f"agent_set contains unknown agents: {sorted(unknown)[:5]}")
-    if mode not in (STRICT, PARTIAL):
-        raise ValueError(f"mode must be {STRICT!r} or {PARTIAL!r}, got {mode!r}")
 
-    resources = {}
-    for i, row in instance.resources.items():
-        if mode == STRICT:
-            if kept.issuperset(row):
-                resources[i] = dict(row)
-        else:
-            clipped = {v: a for v, a in row.items() if v in kept}
-            if clipped:
-                resources[i] = clipped
-    beneficiaries = {
-        k: dict(row)
-        for k, row in instance.beneficiaries.items()
-        if kept.issuperset(row)
-    }
-    return Instance(tuple(sorted(kept)), resources, beneficiaries)
+    def inside(mapping):
+        return {rid: dict(row) for rid, row in mapping.items() if kept.issuperset(row)}
+
+    return Instance(tuple(sorted(kept)), inside(instance.resources), inside(instance.beneficiaries))
 
 
 @dataclass
@@ -186,9 +164,6 @@ class Assignment:
     """Activity levels keyed by agent id."""
 
     values: dict
-
-    def vector(self, agents):
-        return [self.values[v] for v in agents]
 
 
 # ---------------------------------------------------------------------------

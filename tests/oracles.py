@@ -3,10 +3,12 @@
 Everything here works straight off the raw row dictionaries and shares no
 code with the package, so a package bug cannot vouch for itself.  The grid
 search enumerates feasible lattice points outright, the LP reference is
-scipy's HiGHS, the graph quantities are recomputed with plain set
+scipy's HiGHS, the graph quantities (balls, growth factors and the ball
+statistics of the averaging guarantee) are recomputed with plain set
 expansion.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +47,35 @@ def growth(instance, r):
         ratio = Fraction(len(ball(instance, v, r + 1)), len(ball(instance, v, r)))
         best = max(best, ratio)
     return best
+
+
+@dataclass(frozen=True)
+class LocalityProfile:
+    """Ball statistics the averaging guarantee quotes.
+
+    per_resource maps i -> (n_i, N_i): the smallest radius-R ball among the
+    row's agents and the size of the union of their balls.  per_beneficiary
+    maps k -> (m_k, M_k): the size of the intersection of the row's balls and
+    the largest ball.  beta = min_i n_i / N_i.
+    """
+
+    beta: float
+    per_resource: dict
+    per_beneficiary: dict
+
+
+def locality_profile(instance, R):
+    balls = {v: ball(instance, v, R) for v in instance.agents}
+    per_resource = {}
+    for i, row in instance.resources.items():
+        union = set().union(*(balls[v] for v in row))
+        per_resource[i] = (min(len(balls[v]) for v in row), len(union))
+    per_beneficiary = {}
+    for k, row in instance.beneficiaries.items():
+        inter = set.intersection(*(balls[v] for v in row))
+        per_beneficiary[k] = (len(inter), max(len(balls[v]) for v in row))
+    beta = min(n_i / N_i for n_i, N_i in per_resource.values())
+    return LocalityProfile(beta, per_resource, per_beneficiary)
 
 
 def _epigraph(instance):

@@ -3,9 +3,9 @@
 Every test prints a single ``ACCEPTANCE n PASS`` line (visible with -s or
 in the -v test listing) and enforces its wall-clock budget where one is
 stated.  Quantities on the right-hand side of each guarantee are recomputed
-through independent code paths (the brute-force helpers in oracles.py or
-the ball statistics in evaluation), never read back from the algorithm
-under test.
+through independent code paths, the brute-force helpers in oracles.py
+(growth factors, and the ball statistics in ``oracles.locality_profile``),
+never read back from the algorithm under test.
 """
 import random
 import time
@@ -23,11 +23,10 @@ from maxminlp.evaluation import (
     benefits,
     feasibility,
     level_sums,
-    locality_profile,
     objective,
 )
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.hypergraph import extract_view, neighbourhood_ball
+from maxminlp.hypergraph import extract_view
 from maxminlp.lowerbound import (
     build_adversarial_instance,
     build_hypertree,
@@ -81,7 +80,7 @@ def test_criterion_3_averaging_guarantee():
             ratio = oracles.growth(inst, R - 1) * oracles.growth(inst, R)
             assert objective(inst, x) >= omega_star / float(ratio) - 1e-9, (
                 f"case {idx} R={R}")
-            profile = locality_profile(inst, R)
+            profile = oracles.locality_profile(inst, R)
             got = benefits(inst, x)
             for k, (m_k, M_k) in profile.per_beneficiary.items():
                 floor = profile.beta * (m_k / M_k) * omega_star
@@ -188,7 +187,7 @@ def test_criterion_7_determinism(tmp_path):
     inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=3))
     R = 1
     centre = 0
-    viewers = sorted(neighbourhood_ball(inst, centre, R) - {centre})[:2]
+    viewers = sorted(oracles.ball(inst, centre, R) - {centre})[:2]
     assert len(viewers) == 2
     solutions = [
         local_lp_solution(extract_view(inst, j, 2 * R + 1), centre, R)

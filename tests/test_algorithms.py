@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from maxminlp import algorithms
@@ -19,7 +20,7 @@ from maxminlp.algorithms import (
     view_adjacency,
     view_ball,
 )
-from maxminlp.evaluation import feasibility, locality_profile, objective
+from maxminlp.evaluation import feasibility, objective
 from maxminlp.generators import TorusParams, gen_random, gen_torus
 from maxminlp.hypergraph import extract_view, growth_factor
 from maxminlp.lp import solve_maxmin
@@ -93,6 +94,39 @@ def test_view_ball_enforces_locality():
         view_ball(view, adj, 3, 1)  # start outside the members
     with pytest.raises(LocalAlgorithmError):
         view_ball(view, adj, 1, 2)  # radius 2 would need agent 3's edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 14), st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 2))
+def test_view_ball_is_the_true_ball_inside_an_averaging_view(n_agents, max_support, seed, R):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    center = inst.agents[seed % len(inst.agents)]
+    view = extract_view(inst, center, 2 * R + 1)
+    adj = view_adjacency(view)
+    for u in oracles.ball(inst, center, R):
+        assert view_ball(view, adj, u, R) == oracles.ball(inst, u, R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 14), st.integers(1, 4), st.integers(0, 10**6),
+    st.integers(0, 3), st.integers(0, 4),
+)
+def test_view_ball_raises_exactly_when_the_ball_leaves_the_view(
+    n_agents, max_support, seed, horizon, radius
+):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    center = inst.agents[seed % len(inst.agents)]
+    view = extract_view(inst, center, horizon)
+    adj = view_adjacency(view)
+    members = set(view.members)
+    for u in view.members:
+        want = oracles.ball(inst, u, radius)
+        if want <= members:
+            assert view_ball(view, adj, u, radius) == want
+        else:
+            with pytest.raises(LocalAlgorithmError, match="leaves the view"):
+                view_ball(view, adj, u, radius)
 
 
 def test_local_subproblem_clips_resources_keeps_inside_benefits():
@@ -170,7 +204,7 @@ def test_averaging_per_beneficiary_bound_on_perturbed_torus(R):
     inst = gen_torus(TorusParams(dim=1, side=8, perturb=True, seed=2))
     out = run_local(inst, LocalAveraging(R))
     _, omega_star = solve_maxmin(inst)
-    profile = locality_profile(inst, R)
+    profile = oracles.locality_profile(inst, R)
     for k, row in inst.beneficiaries.items():
         benefit = sum(c * out.values[v] for v, c in row.items())
         m_k, M_k = profile.per_beneficiary[k]

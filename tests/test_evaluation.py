@@ -4,20 +4,18 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from maxminlp import evaluation
 from maxminlp.evaluation import (
     EvaluationReport,
-    OracleUnavailableError,
     acyclicity,
-    approximation_ratio,
     benefits,
     evaluate,
     feasibility,
-    locality_profile,
     objective,
     write_reports_csv,
 )
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.hypergraph import growth_factor
+from maxminlp.hypergraph import growth_factor, hypergraph
 from maxminlp.model import Assignment, Instance
 
 
@@ -57,22 +55,36 @@ def test_benefits_and_objective_exact():
         objective(Instance((0,), {0: {0: 1.0}}, {}), Assignment({0: 0.0}))
 
 
+def _no_oracle(*_):
+    raise AssertionError("the exact oracle must not run")
+
+
 def test_ratio_branches():
     inst = pair()
-    # optimum: x = (1, 0) begs benefit 3... capacity x0 + 2 x1 <= 1 allows
-    # x = (1, 0) with benefit 3, so the optimum is 3
-    assert approximation_ratio(inst, Assignment({0: 0.5, 1: 0.0})) == pytest.approx(2.0)
-    assert approximation_ratio(inst, Assignment({0: 0.0, 1: 0.0})) == math.inf
+    # capacity x0 + 2 x1 <= 1 allows x = (1, 0) with benefit 3, the optimum
+    report = evaluate(inst, Assignment({0: 0.5, 1: 0.0}))
+    assert report.omega_star == pytest.approx(3.0)
+    assert report.ratio == pytest.approx(2.0)
+    assert report.notes == ()
+    report = evaluate(inst, Assignment({0: 0.0, 1: 0.0}))
+    assert report.ratio == math.inf
+    assert report.notes == ("achieved objective is zero: ratio unbounded",)
     allzero = Instance((0,), {0: {0: 1.0}}, {1: {0: 1e-18}})
     # both sides vanish at double precision: treated as attained
-    got = approximation_ratio(allzero, Assignment({0: 0.0}))
-    assert got == 1.0
+    report = evaluate(allzero, Assignment({0: 0.0}))
+    assert report.omega == 0.0
+    assert report.omega_star == 0.0
+    assert report.ratio == 1.0
+    assert report.notes == ()
 
 
-def test_ratio_refuses_oversized_instances():
+def test_ratio_refuses_oversized_instances(monkeypatch):
+    monkeypatch.setattr(evaluation, "solve_maxmin", _no_oracle)
     inst = gen_random(12, 3, seed=0)
-    with pytest.raises(OracleUnavailableError):
-        approximation_ratio(inst, Assignment({v: 0.0 for v in inst.agents}), oracle_cap=5)
+    report = evaluate(inst, Assignment({v: 0.0 for v in inst.agents}), oracle_cap=5)
+    assert report.omega_star is None
+    assert report.ratio is None
+    assert report.notes == ("oracle unavailable: 12 agents exceed the cap of 5",)
 
 
 def test_evaluate_full_report():
@@ -103,8 +115,10 @@ def test_evaluate_serialises_unbounded_ratio():
     assert report.to_dict()["ratio"] == "unbounded"
 
 
-def test_evaluate_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
+def test_evaluate_rejects_nonpositive_radius(monkeypatch):
+    # refused before any work: the exact oracle never starts
+    monkeypatch.setattr(evaluation, "solve_maxmin", _no_oracle)
+    with pytest.raises(ValueError, match="R >= 1"):
         evaluate(pair(), Assignment({0: 0.0, 1: 0.0}), R=0)
 
 
@@ -142,9 +156,11 @@ def test_acyclicity_classification():
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("R", [1, 2])
 def test_locality_profile_matches_independent_balls(seed, R):
+    # the reference profile against statistics rebuilt from the package's balls
     inst = gen_random(10, 3, seed=seed)
-    profile = locality_profile(inst, R)
-    balls = {v: oracles.ball(inst, v, R) for v in inst.agents}
+    profile = oracles.locality_profile(inst, R)
+    H = hypergraph(inst)
+    balls = {v: H.ball(v, R) for v in inst.agents}
     beta = None
     for i, row in inst.resources.items():
         n_i = min(len(balls[v]) for v in row)
@@ -165,24 +181,12 @@ def test_locality_profile_matches_independent_balls(seed, R):
 @pytest.mark.parametrize("R", [1, 2])
 def test_growth_certificate_dominates_profile_exactly(seed, R):
     # beta >= 1/gamma(R) and min m_k/M_k >= 1/gamma(R-1), both provable one
-    # ball at a time, so the product certificate is never optimistic;
-    # checked in exact rational arithmetic
+    # ball at a time, so the package's product certificate is never
+    # optimistic; checked in exact rational arithmetic
     inst = gen_random(9, 3, seed=seed)
-    profile = locality_profile(inst, R)
-    balls = {v: oracles.ball(inst, v, R) for v in inst.agents}
-    beta = min(
-        Fraction(min(len(balls[v]) for v in row), len(set().union(*(balls[v] for v in row))))
-        for row in inst.resources.values()
-    )
-    skew = min(
-        Fraction(profile.per_beneficiary[k][0], profile.per_beneficiary[k][1])
-        for k in inst.beneficiaries
-    )
-    assert beta >= 1 / oracles.growth(inst, R)
-    assert skew >= 1 / oracles.growth(inst, R - 1)
-    assert beta * skew >= 1 / (oracles.growth(inst, R - 1) * oracles.growth(inst, R))
-
-
-def test_locality_profile_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        locality_profile(pair(), 0)
+    profile = oracles.locality_profile(inst, R)
+    beta = min(Fraction(n_i, N_i) for n_i, N_i in profile.per_resource.values())
+    skew = min(Fraction(m_k, M_k) for m_k, M_k in profile.per_beneficiary.values())
+    assert beta >= 1 / growth_factor(inst, R)
+    assert skew >= 1 / growth_factor(inst, R - 1)
+    assert beta * skew >= 1 / (growth_factor(inst, R - 1) * growth_factor(inst, R))

@@ -1,17 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from maxminlp.generators import TorusParams, gen_random, gen_torus
 from maxminlp.hypergraph import (
-    BENEFICIARY,
-    RESOURCE,
     Hypergraph,
+    distances,
     extract_view,
     growth_factor,
     hypergraph,
-    neighbourhood_ball,
 )
 from maxminlp.model import Instance
 
@@ -24,20 +23,9 @@ def path4():
     )
 
 
-def test_every_row_becomes_a_tagged_edge():
-    H = Hypergraph(path4())
-    assert len(H.edges) == 5
-    kinds = [(e.kind, e.origin, e.members) for e in H.edges]
-    assert (RESOURCE, 0, (0, 1)) in kinds
-    assert (BENEFICIARY, 2, (1, 2)) in kinds
-    # identical supports from different rows stay distinct edges
-    twin = Instance((0, 1), {0: {0: 1.0, 1: 1.0}}, {1: {0: 1.0, 1: 1.0}})
-    assert len(Hypergraph(twin).edges) == 2
-
-
 def test_unknown_agent_in_support_is_rejected():
     bad = Instance((0,), {0: {0: 1.0, 7: 1.0}}, {1: {0: 1.0}})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resource 0 references unknown agent 7"):
         Hypergraph(bad)
 
 
@@ -46,7 +34,7 @@ def test_distances_on_the_path():
     assert H.distances_from(0) == {0: 0, 1: 1, 2: 2, 3: 3}
     assert H.distances_from(0, limit=1) == {0: 0, 1: 1}
     assert H.ball(1, 1) == frozenset({0, 1, 2})
-    assert neighbourhood_ball(path4(), 3, 2) == frozenset({1, 2, 3})
+    assert H.ball(3, 2) == frozenset({1, 2, 3})
     with pytest.raises(ValueError):
         H.distances_from(99)
     with pytest.raises(ValueError):
@@ -60,6 +48,22 @@ def test_balls_match_set_expansion_oracle(seed, r):
     H = hypergraph(inst)
     for v in inst.agents:
         assert set(H.ball(v, r)) == oracles.ball(inst, v, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6))
+def test_distances_match_set_expansion_at_every_radius(n_agents, max_support, seed):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    adj = hypergraph(inst)._adj
+    for v in inst.agents:
+        inner = set()
+        for r in range(5):
+            dist = distances(adj, v, r)
+            ball = oracles.ball(inst, v, r)
+            assert set(dist) == ball
+            # the new ring of the ball sits exactly r hops out
+            assert {w for w, d in dist.items() if d == r} == ball - inner
+            inner = ball
 
 
 @pytest.mark.parametrize("seed", range(6))

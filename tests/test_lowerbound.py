@@ -37,14 +37,15 @@ def test_hypertree_levels_alternate_arity():
     # every edge spans its node and that node's children
     assert ("I", (0, 1, 2)) == t.edges[0]
     assert ("II", (1, 3)) in t.edges
-    assert len(list(t.nodes())) == hypertree_node_count(2, 1, 3)
+    assert sum(len(level) for level in t.levels) == hypertree_node_count(2, 1, 3)
 
 
 def test_hypertree_ids_offset_cleanly():
     t = build_hypertree(2, 3, 3, first_id=100)
     assert t.root == 100
-    assert len(list(t.nodes())) == hypertree_node_count(2, 3, 3)
-    assert min(t.nodes()) == 100
+    nodes = [v for level in t.levels for v in level]
+    assert len(nodes) == hypertree_node_count(2, 3, 3)
+    assert min(nodes) == 100
 
 
 def test_hypertree_node_count_formula():
@@ -444,8 +445,8 @@ def test_attack_validates_each_instance_once(monkeypatch):
 
 
 def test_attack_reports_an_invalid_carve(monkeypatch):
-    def uncovered_agent(instance, agent_set, mode):
-        sub = restrict(instance, agent_set, mode)
+    def uncovered_agent(instance, agent_set):
+        sub = restrict(instance, agent_set)
         stray = max(sub.agents) + 1
         return Instance(sub.agents + (stray,), sub.resources, sub.beneficiaries)
 

@@ -6,8 +6,6 @@ import pytest
 from maxminlp.model import (
     Assignment,
     Instance,
-    PARTIAL,
-    STRICT,
     assignment_from_dict,
     assignment_to_dict,
     dump_json,
@@ -92,32 +90,18 @@ def test_validate_flags_uncovered_agent():
 
 
 def test_restrict_strict_keeps_fully_inside_rows():
-    sub = restrict(chain(), {0, 1}, STRICT)
+    sub = restrict(chain(), {0, 1})
     assert sub.agents == (0, 1)
     assert sub.resources == {0: {0: 1.0, 1: 2.0}}
     # beneficiary 10 leaks to agent 2, so only the singleton survives
     assert sub.beneficiaries == {11: {0: 2.0}}
 
 
-def test_restrict_partial_clips_resources():
-    sub = restrict(chain(), {1, 2}, PARTIAL)
-    # resource rows are clipped to the kept agents, benefit rows are not
-    assert sub.resources == {0: {1: 2.0}, 1: {2: 0.5}, 2: {2: 1.0}}
-    assert sub.beneficiaries == {10: {1: 1.0, 2: 3.0}}
-
-
 def test_restrict_rejects_bad_agent_sets():
     with pytest.raises(ValueError):
-        restrict(chain(), set(), STRICT)
+        restrict(chain(), set())
     with pytest.raises(ValueError):
-        restrict(chain(), {0, 99}, STRICT)
-    with pytest.raises(ValueError):
-        restrict(chain(), {0, 1}, "clip")
-
-
-def test_assignment_vector_follows_given_order():
-    a = Assignment({0: 0.5, 1: 0.25, 2: 0.0})
-    assert a.vector((2, 0, 1)) == [0.0, 0.5, 0.25]
+        restrict(chain(), {0, 99})
 
 
 def test_instance_json_round_trip(tmp_path):
