@@ -13,19 +13,11 @@ from contextvars import ContextVar
 
 from .hypergraph import distances, extract_view
 from .lp import solve_maxmin
-from .model import Assignment, Instance, validate
+from .model import Assignment, Instance, InvalidInstanceError, validate
 
 
 class LocalAlgorithmError(RuntimeError):
     pass
-
-
-class InvalidInstanceError(ValueError):
-    """run_local refused an instance; ``violations`` lists every defect."""
-
-    def __init__(self, violations):
-        self.violations = violations
-        super().__init__("instance failed validation: " + "; ".join(violations[:5]))
 
 
 # Ball-LP optima by sub-instance content, live only inside one run_local call.
@@ -109,71 +101,67 @@ def view_ball(view, adj, start, radius):
     return ball
 
 
-def local_subproblem(view, ball_members):
-    """The clipped problem visible inside one inner ball.
+def local_subproblem(view, ball):
+    """The clipped problem visible inside one inner ball, as sorted tuples.
 
-    Resources that meet the ball keep their inside coefficients; benefit rows
-    must lie fully inside, otherwise their value would be misstated.
+    ``(agents, resources, beneficiaries)``, each row ``(id, ((agent, coeff),
+    ...))`` in the ascending order of the view's maps.  Resources that meet
+    the ball keep their inside coefficients; benefit rows must lie fully
+    inside, otherwise their value would be misstated.
     """
-    inside = set(ball_members)
-    resources = {}
+    # tuples from lists, not generators: the memo keeps every key for the
+    # run, and generator-built tuples made it 1.5 times as large (8x8, R=2)
+    resources = []
     for i, support in view.resource_support.items():
-        clipped = {w: view.resource_coeffs[i][w] for w in support if w in inside}
+        clipped = tuple([(w, view.resource_coeffs[i][w]) for w in support if w in ball])
         if clipped:
-            resources[i] = clipped
-    beneficiaries = {}
-    for k, support in view.beneficiary_support.items():
-        if inside.issuperset(support):
-            beneficiaries[k] = {w: view.beneficiary_coeffs[k][w] for w in support}
-    return Instance(tuple(sorted(inside)), resources, beneficiaries)
+            resources.append((i, clipped))
+    beneficiaries = [
+        (k, tuple([(w, view.beneficiary_coeffs[k][w]) for w in support]))
+        for k, support in view.beneficiary_support.items()
+        if ball.issuperset(support)
+    ]
+    return tuple(sorted(ball)), tuple(resources), tuple(beneficiaries)
 
 
-def _content_key(instance):
-    """A sub-instance by content: agents, rows and coefficients, not identity."""
-    return (
-        instance.agents,
-        tuple((i, tuple(row.items())) for i, row in instance.resources.items()),
-        tuple((k, tuple(row.items())) for k, row in instance.beneficiaries.items()),
-    )
-
-
-def local_lp_solution(view, u, R, adj=None):
+def local_lp_solution(view, u, R, ball=None):
     """Canonical optimum of the ball-(u, R) subproblem, keyed by agent.
 
     All-zero when no benefit row fits inside the ball: the objective would be
     vacuous there, and zero keeps every packing row slack.  Any agent whose
     view contains B(u, R) computes the exact same numbers, because the
-    subproblem is canonical and the solver's pivot path is fixed.
+    subproblem is canonical and the solver's pivot path is fixed.  ``ball``
+    is B(u, R) from :func:`view_ball`, walked here when omitted.
 
-    Inside :func:`run_local` the optimum is memoised on the content of the
-    canonical subproblem -- its agents and its resource and benefit rows with
-    their coefficients -- never on the deciding agent, the ball centre or any
-    run state, so a hit returns exactly what a fresh solve would.  Outside
-    ``run_local`` there is no memo and every call solves.  A failing solve
-    raises :class:`LocalAlgorithmError` naming the deciding agent, u, R and
-    the ball size, chained from the solver's error.
+    Inside :func:`run_local` the optimum is memoised on the tuple that
+    :func:`local_subproblem` returns -- agents, rows and coefficients, never
+    the deciding agent, the ball centre or any run state -- and a miss solves
+    the LP built from exactly that key, so a hit returns what a fresh solve
+    would.  Outside ``run_local`` there is no memo and every call solves.  A
+    failing solve raises :class:`LocalAlgorithmError` naming the deciding
+    agent, u, R and the ball size, chained from the solver's error.
     """
-    if adj is None:
-        adj = view_adjacency(view)
-    ball = view_ball(view, adj, u, R)
+    if ball is None:
+        ball = view_ball(view, view_adjacency(view), u, R)
     sub = local_subproblem(view, ball)
-    if not sub.beneficiaries:
-        return {w: 0.0 for w in sub.agents}
+    agents, resources, beneficiaries = sub
+    if not beneficiaries:
+        return {w: 0.0 for w in agents}
     memo = _BALL_LP_MEMO.get()
     if memo is None:
         memo = {}
-    key = _content_key(sub)
-    if key not in memo:
+    if sub not in memo:
+        rows = ({rid: dict(row) for rid, row in kind} for kind in (resources, beneficiaries))
         try:
-            assignment, _ = solve_maxmin(sub)
+            assignment, _ = solve_maxmin(Instance(agents, *rows))
         except (ArithmeticError, ValueError) as exc:
             raise LocalAlgorithmError(
                 f"agent {view.center}: LP of the ball around u={u} with R={R} "
                 f"({len(ball)} agents) failed: {exc}"
             ) from exc
-        memo[key] = assignment.values
+        memo[sub] = assignment.values
     # a copy, so a caller that edits its result cannot alter later hits
-    return dict(memo[key])
+    return dict(memo[sub])
 
 
 class LocalAveraging(LocalAlgorithm):
@@ -201,16 +189,14 @@ class LocalAveraging(LocalAlgorithm):
         cache = {}
 
         def ball(w):
-            got = cache.get(w)
-            if got is None:
-                got = view_ball(view, adj, w, self.R)
-                cache[w] = got
-            return got
+            if w not in cache:
+                cache[w] = view_ball(view, adj, w, self.R)
+            return cache[w]
 
         inner = sorted(ball(j))
         total = 0.0
         for u in inner:
-            total += local_lp_solution(view, u, self.R, adj)[j]
+            total += local_lp_solution(view, u, self.R, ball(u))[j]
 
         beta = None
         for i, row in view.resource_coeffs.items():

@@ -1,8 +1,8 @@
-"""Judging assignments: feasibility, objectives, ratios, structural checks.
+"""Judging assignments: feasibility, objectives, ratios, a structural check.
 
-The structural checks the adversary relies on (level sums, acyclicity) are
-recomputed here from the raw rows with self-contained code, so this module
-can serve as an independent check on the algorithm modules rather than
+``acyclicity`` checks that the adversary's carve is a forest, from the raw
+rows with self-contained code; the adversary itself never calls it, so it
+serves as an independent check on the algorithm modules rather than
 inheriting their bugs.  The ball statistics that the averaging guarantee
 quotes live in ``tests/oracles.py`` (``locality_profile``), next to the
 other reference implementations that share no code with the package.
@@ -173,7 +173,7 @@ def write_reports_csv(path, entries):
 
 
 # ---------------------------------------------------------------------------
-# Structural checks used by the adversarial pipeline.
+# A structural check on the adversary's carve.
 
 
 def acyclicity(instance):
@@ -205,15 +205,3 @@ def acyclicity(instance):
                 return False
             parent[ra] = rb
     return True
-
-
-def level_sums(meta, assignment):
-    """Total activity per level of the selected tree.
-
-    Works for assignments on the full instance or on the carved sub-instance;
-    both contain the selected tree.
-    """
-    if meta.p is None:
-        raise ValueError("no tree has been selected yet")
-    x = assignment.values
-    return [sum(x[v] for v in level) for level in meta.tree_levels[meta.p]]

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
 
-from .evaluation import feasibility, level_sums, objective
+from .evaluation import feasibility, objective
 from .hypergraph import hypergraph
-from .model import Assignment, Instance, restrict
-from .algorithms import InvalidInstanceError, run_local
+from .model import Assignment, Instance, InvalidInstanceError, restrict
+from .algorithms import run_local
 
 DEFAULT_NODE_CAP = 200_000
 DELTA_CANCEL_TOL = 1e-9
@@ -119,19 +118,6 @@ class BipartiteTemplate:
     @property
     def vertices(self):
         return range(2 * self.n_per_side)
-
-    def incident(self, q):
-        """Edges at q, sorted by the opposite endpoint (canonical pairing order)."""
-        return list(self._incidence.get(q, ()))
-
-    @cached_property
-    def _incidence(self):
-        # one pass over the edges; each vertex's list sorted by the other end
-        at = {}
-        for u, w in self.edges:
-            at.setdefault(u, []).append((w, (u, w)))
-            at.setdefault(w, []).append((u, (u, w)))
-        return {q: tuple(e for _, e in sorted(mine)) for q, mine in at.items()}
 
 
 def _graph_girth(adj):
@@ -391,16 +377,13 @@ def build_adversarial_instance(
         next_id += per_tree
 
     # pair leaves along template edges: vertex q's leaves, in level order,
-    # follow its incident edges sorted by the opposite endpoint
-    slot = {q: {} for q in template.vertices}
-    for q in template.vertices:
-        for position, edge in enumerate(template.incident(q)):
-            slot[q][edge] = trees[q].leaves[position]
+    # follow its incident edges sorted by the opposite endpoint, which is the
+    # order one pass over the sorted (left, right) edge list reaches them in
+    leaves = {q: iter(trees[q].leaves) for q in template.vertices}
     leaf_pair = {}
     type3 = []
-    for edge in template.edges:
-        left_leaf = slot[edge[0]][edge]
-        right_leaf = slot[edge[1]][edge]
+    for u, w in template.edges:
+        left_leaf, right_leaf = next(leaves[u]), next(leaves[w])
         leaf_pair[left_leaf] = right_leaf
         leaf_pair[right_leaf] = left_leaf
         type3.append((left_leaf, right_leaf))
@@ -470,6 +453,18 @@ def select_hard_subinstance(instance, meta, assignment):
         meta, p=p, root=meta.tree_levels[p][0][0], selected_agents=frozenset(keep), delta=delta
     )
     return sub, meta_after
+
+
+def level_sums(meta, assignment):
+    """Total activity per level of the selected tree.
+
+    Works for assignments on the full instance or on the carved sub-instance;
+    both contain the selected tree.
+    """
+    if meta.p is None:
+        raise ValueError("no tree has been selected yet")
+    x = assignment.values
+    return [sum(x[v] for v in level) for level in meta.tree_levels[meta.p]]
 
 
 def parity_solution(sub_instance, meta):

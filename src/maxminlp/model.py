@@ -108,6 +108,14 @@ def _check_rows(kind, rows, agent_set, violations):
                 violations.append(f"{kind} {rid}: nonpositive coefficient for agent {v}")
 
 
+class InvalidInstanceError(ValueError):
+    """An instance failed :func:`validate`; ``violations`` lists every defect."""
+
+    def __init__(self, violations):
+        self.violations = violations
+        super().__init__("instance failed validation: " + "; ".join(violations[:5]))
+
+
 def validate(instance):
     """Structural audit.  Never raises: every defect becomes one violation line.
 
@@ -259,7 +267,12 @@ def save_instance(instance, path, extra=None):
 
 
 def load_instance(path):
-    return instance_from_dict(load_json(path))
+    """Read an instance file, raising :class:`InvalidInstanceError` unless it validates."""
+    instance = instance_from_dict(load_json(path))
+    report = validate(instance)
+    if report.violations:
+        raise InvalidInstanceError(report.violations)
+    return instance
 
 
 def assignment_to_dict(assignment):
@@ -269,6 +282,9 @@ def assignment_to_dict(assignment):
 def assignment_from_dict(payload):
     try:
         values = _by_agent(payload["values"], "values")
+        for v, x in values.items():
+            if not math.isfinite(x):
+                raise ValueError(f"agent {v} has the non-finite value {x!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed assignment payload: {exc}") from exc
     return Assignment(values)

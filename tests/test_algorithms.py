@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from maxminlp import algorithms
+from maxminlp import algorithms, hypergraph
 from maxminlp.algorithms import (
     LocalAlgorithm,
     LocalAlgorithmError,
     LocalAveraging,
     SafeAlgorithm,
     ZeroAlgorithm,
-    _content_key,
     local_lp_solution,
     local_subproblem,
     make_algorithm,
@@ -131,10 +130,11 @@ def test_view_ball_raises_exactly_when_the_ball_leaves_the_view(
 
 def test_local_subproblem_clips_resources_keeps_inside_benefits():
     view = extract_view(path4(), 1, 2)
-    sub = local_subproblem(view, {0, 1, 2})
-    assert sub.agents == (0, 1, 2)
-    assert sub.resources == {0: {0: 1.0, 1: 1.0}, 1: {2: 1.0}}
-    assert sub.beneficiaries == {2: {1: 1.0, 2: 1.0}, 3: {0: 1.0}}
+    assert local_subproblem(view, {0, 1, 2}) == (
+        (0, 1, 2),
+        ((0, ((0, 1.0), (1, 1.0))), (1, ((2, 1.0),))),
+        ((2, ((1, 1.0), (2, 1.0))), (3, ((0, 1.0),))),
+    )
 
 
 def test_local_lp_zero_when_no_benefit_row_fits():
@@ -289,12 +289,12 @@ def test_decides_from_the_view_alone(seed, alg_name, R):
 
 
 def _counting_solver(monkeypatch):
-    """Route the executor's LP calls through a wrapper that records each sub-instance."""
+    """Route the executor's LP calls through a wrapper that records each LP by content."""
     seen = []
     real = algorithms.solve_maxmin
 
     def counted(sub):
-        seen.append(_content_key(sub))
+        seen.append((sub.agents, repr(sub.resources), repr(sub.beneficiaries)))
         return real(sub)
 
     monkeypatch.setattr(algorithms, "solve_maxmin", counted)
@@ -313,6 +313,48 @@ def test_run_local_solves_each_distinct_ball_lp_once(torus11, monkeypatch):
     run_local(torus11, LocalAveraging(2))
     assert len(seen) == 64
     assert len(set(seen)) == 64
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_walk_per_ball_and_one_instance_per_distinct_ball_lp(torus11, monkeypatch):
+    # each agent walks its view once and each of the 19 balls it averages
+    # over once: 64 * 20 walks.  Of the 1,216 ball-LP look-ups only the 64
+    # memo misses build an Instance
+    walks = _counting(monkeypatch, hypergraph, "distances")
+    walks_in_views = _counting(monkeypatch, algorithms, "distances")
+    lookups = _counting(monkeypatch, algorithms, "local_lp_solution")
+    builds = _counting(monkeypatch, Instance, "__post_init__")
+    run_local(torus11, LocalAveraging(2))
+    assert len(walks) + len(walks_in_views) == 1_280
+    assert len(lookups) == 1_216
+    assert len(builds) == 64
+
+
+def test_memo_key_is_the_subproblem_and_a_given_ball_changes_nothing(torus11):
+    R = 2
+    view = extract_view(torus11, 0, 2 * R + 1)
+    adj = view_adjacency(view)
+    for u in sorted(oracles.ball(torus11, 0, R)):
+        ball = view_ball(view, adj, u, R)
+        token = algorithms._BALL_LP_MEMO.set({})
+        try:
+            got = local_lp_solution(view, u, R, ball)
+            memo = algorithms._BALL_LP_MEMO.get()
+        finally:
+            algorithms._BALL_LP_MEMO.reset(token)
+        assert list(memo) == [local_subproblem(view, ball)]
+        assert got == local_lp_solution(view, u, R)
 
 
 def test_memoised_run_matches_direct_decisions_bit_for_bit(torus11):

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from cli_child import cli
+from maxminlp.cli import main
 from maxminlp.model import load_instance
 
 
@@ -206,7 +207,15 @@ def test_exit_codes(tmp_path):
     assert cli("gen-torus", "--dim", "2", "--side", "3").returncode == 2  # no -o
 
 
-def test_malformed_instance_file_fails_cleanly(tmp_path):
+def _two_agents(agents=(0, 1), resource=None):
+    return {
+        "agents": list(agents),
+        "resources": [{"id": 0, "coeffs": resource or {"0": 1.0, "1": 1.0}}],
+        "beneficiaries": [{"id": 1, "coeffs": {"0": 1.0, "1": 2.0}}],
+    }
+
+
+def test_malformed_instance_file_fails_cleanly(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"agents": [0]}')
     proc = cli("solve", str(bad))
@@ -214,6 +223,42 @@ def test_malformed_instance_file_fails_cleanly(tmp_path):
     assert proc.stderr.startswith("error:")
     bad.write_text("not json at all")
     assert cli("solve", str(bad)).returncode == 1
+    # parseable files that fail validation: every command that reads an
+    # instance refuses them with the violation instead of computing on them
+    x = tmp_path / "x.json"
+    x.write_text('{"values": {"0": 0.5, "1": 0.25}}')
+    cases = [
+        (_two_agents(resource={"0": "NaN", "1": 1.0}),
+         "resource 0: non-finite coefficient for agent 0"),
+        (_two_agents(agents=(0, 0, 1)), "agent 0: duplicate id"),
+        (_two_agents(resource={"0": 1.0, "1": -1.0}),
+         "resource 0: nonpositive coefficient for agent 1"),
+    ]
+    for payload, violation in cases:
+        bad.write_text(json.dumps(payload))
+        for argv in (
+            ["solve", str(bad)],
+            ["run", str(bad), "--algorithm", "safe"],
+            ["eval", str(bad), str(x)],
+            ["growth", str(bad), "--radius", "1"],
+        ):
+            assert main(argv) == 1, argv
+            out = capsys.readouterr()
+            assert out.err == f"error: instance failed validation: {violation}\n", argv
+            assert out.out == ""
+
+
+def test_eval_refuses_a_non_finite_assignment_value(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_two_agents()))
+    x = tmp_path / "x.json"
+    x.write_text('{"values": {"0": 0.5, "1": NaN}}')
+    out = tmp_path / "report.json"
+    assert main(["eval", str(inst), str(x), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: malformed assignment payload: agent 1 has the non-finite value nan\n"
+    )
+    assert not out.exists()
 
 
 def test_outputs_are_location_independent(tmp_path):

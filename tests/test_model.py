@@ -3,9 +3,11 @@ import re
 
 import pytest
 
+from maxminlp import algorithms
 from maxminlp.model import (
     Assignment,
     Instance,
+    InvalidInstanceError,
     assignment_from_dict,
     assignment_to_dict,
     dump_json,
@@ -162,6 +164,30 @@ def test_assignment_from_dict_rejects_malformed():
         assignment_from_dict({"values": {"a": 1.0}})
     with pytest.raises(ValueError):
         assignment_from_dict({})
+
+
+@pytest.mark.parametrize("value", ["NaN", float("nan"), float("inf"), "-Infinity"])
+def test_assignment_from_dict_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="agent 3 has the non-finite value"):
+        assignment_from_dict({"values": {"0": 0.5, "3": value}})
+
+
+def test_assignment_from_dict_keeps_negative_values():
+    # a negative activity is a defect of the assignment that feasibility
+    # reports, not a malformed file
+    assert assignment_from_dict({"values": {"0": -0.5}}).values == {0: -0.5}
+
+
+def test_load_instance_refuses_an_instance_that_fails_validation(tmp_path):
+    path = tmp_path / "bad.json"
+    payload = instance_to_dict(chain())
+    payload["agents"].append(0)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInstanceError) as info:
+        load_instance(path)
+    assert info.value.violations == ["agent 0: duplicate id"]
+    # the executor's refusal is the same class, wherever it is imported from
+    assert algorithms.InvalidInstanceError is InvalidInstanceError
 
 
 def two_agents(resources=None, beneficiaries=None):
