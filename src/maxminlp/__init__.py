@@ -10,7 +10,6 @@ agent's activity from a bounded-radius view of the shared structure.
 from .algorithms import make_algorithm, run_local
 from .evaluation import evaluate
 from .generators import TorusParams, gen_torus
-from .lp import solve_maxmin
 
 __version__ = "0.1.0"
 
@@ -22,3 +21,13 @@ __all__ = [
     "run_local",
     "solve_maxmin",
 ]
+
+
+def __getattr__(name):
+    # the simplex, and numpy with it, loads on first use: a command that
+    # solves no LP never imports it
+    if name == "solve_maxmin":
+        from .lp import solve_maxmin
+
+        return solve_maxmin
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

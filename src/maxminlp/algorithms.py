@@ -12,7 +12,6 @@ import math
 from contextvars import ContextVar
 
 from .hypergraph import distances, extract_view
-from .lp import solve_maxmin
 from .model import Assignment, Instance, InvalidInstanceError, validate
 
 
@@ -151,6 +150,8 @@ def local_lp_solution(view, u, R, ball=None):
     if memo is None:
         memo = {}
     if sub not in memo:
+        from .lp import solve_maxmin
+
         rows = ({rid: dict(row) for rid, row in kind} for kind in (resources, beneficiaries))
         try:
             assignment, _ = solve_maxmin(Instance(agents, *rows))

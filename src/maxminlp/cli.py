@@ -21,7 +21,6 @@ from .evaluation import DEFAULT_ORACLE_CAP, evaluate, objective, write_reports_c
 from .generators import TorusParams, gen_random, gen_torus
 from .hypergraph import growth_factor
 from .lowerbound import adversarial_lower_bound, build_adversarial_instance
-from .lp import solve_maxmin
 from .model import (
     assignment_from_dict,
     assignment_to_dict,
@@ -110,6 +109,8 @@ def _cmd_gen_lowerbound(args):
 
 
 def _cmd_solve(args):
+    from .lp import solve_maxmin
+
     instance = load_instance(args.instance)
     assignment, omega = solve_maxmin(instance)
     print(f"omega = {omega:.12g}")

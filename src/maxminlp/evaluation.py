@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .hypergraph import growth_factor
-from .lp import solve_maxmin
 
 DEFAULT_ORACLE_CAP = 200
 
@@ -110,6 +109,8 @@ def evaluate(instance, assignment, tol=1e-9, R=None, oracle_cap=DEFAULT_ORACLE_C
             f"oracle unavailable: {len(instance.agents)} agents exceed the cap of {oracle_cap}"
         )
     elif got:
+        from .lp import solve_maxmin
+
         _, omega_star = solve_maxmin(instance)
         if omega > 0.0:
             ratio = omega_star / omega

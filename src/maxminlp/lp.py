@@ -18,6 +18,10 @@ Every decision is a pure function of the program and every floating-point
 step an elementwise numpy operation, with no BLAS or LAPACK call, so the
 same program gives the same bits whatever the BLAS build or thread count:
 agents re-deriving one local optimum from their own views agree exactly.
+
+This is the only module that imports numpy, and the package imports it only
+where a simplex runs: every caller of :func:`solve_maxmin` imports it at call
+time, so a command that solves no LP never loads numpy.
 """
 
 from __future__ import annotations

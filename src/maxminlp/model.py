@@ -120,8 +120,13 @@ def validate(instance):
     """Structural audit.  Never raises: every defect becomes one violation line.
 
     An instance is *valid* when the report carries no violations; all
-    downstream operations assume validity.
+    downstream operations assume validity.  The report is cached on the
+    instance like its derived maps, so an instance that is loaded and then
+    run is audited once; treat the report as read-only.
     """
+    report = instance._cache.get("validation")
+    if report is not None:
+        return report
     violations = []
     seen = set()
     for v in instance.agents:
@@ -147,7 +152,9 @@ def validate(instance):
         delta_IV = max(len(ids) for ids in instance.agent_resources().values())
         delta_KV = max(len(ids) for ids in instance.agent_beneficiaries().values())
         bounds = DegreeBounds(delta_VI, delta_VK, delta_IV, delta_KV)
-    return ValidationReport(violations, bounds)
+    report = ValidationReport(violations, bounds)
+    instance._cache["validation"] = report
+    return report
 
 
 def restrict(instance, agent_set):

@@ -1,4 +1,4 @@
-"""Start ``python -m maxminlp`` in a child interpreter.
+"""Start ``python -m maxminlp``, or any ``python`` command line, in a child interpreter.
 
 The child must run the same package the test process imported, whatever
 its working directory. A relative ``PYTHONPATH`` such as ``src`` stops
@@ -17,6 +17,10 @@ PACKAGE_ROOT = str(Path(maxminlp.__file__).resolve().parents[1])
 
 
 def cli(*args, cwd=None, env=None):
+    return python("-m", "maxminlp", *args, cwd=cwd, env=env)
+
+
+def python(*args, cwd=None, env=None):
     merged = dict(os.environ)
     if env:
         merged.update(env)
@@ -25,6 +29,6 @@ def cli(*args, cwd=None, env=None):
         PACKAGE_ROOT + os.pathsep + inherited if inherited else PACKAGE_ROOT
     )
     return subprocess.run(
-        [sys.executable, "-m", "maxminlp", *args],
+        [sys.executable, *args],
         capture_output=True, text=True, cwd=cwd, env=merged,
     )

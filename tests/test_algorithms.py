@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from maxminlp import algorithms, hypergraph
+from maxminlp import algorithms, hypergraph, lp
 from maxminlp.algorithms import (
     LocalAlgorithm,
     LocalAlgorithmError,
@@ -93,6 +93,23 @@ def test_view_ball_enforces_locality():
         view_ball(view, adj, 3, 1)  # start outside the members
     with pytest.raises(LocalAlgorithmError):
         view_ball(view, adj, 1, 2)  # radius 2 would need agent 3's edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6),
+    st.sampled_from(["safe", "local-avg"]),
+)
+def test_local_outputs_are_feasible_on_small_random_instances(
+    n_agents, max_support, seed, name
+):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    x = run_local(inst, make_algorithm(name, R=1)).values
+    assert sorted(x) == list(inst.agents)
+    assert min(x.values()) >= 0.0
+    # from the raw rows, not through evaluation.feasibility
+    for row in inst.resources.values():
+        assert sum(a * x[v] for v, a in row.items()) <= 1.0 + 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,13 +308,13 @@ def test_decides_from_the_view_alone(seed, alg_name, R):
 def _counting_solver(monkeypatch):
     """Route the executor's LP calls through a wrapper that records each LP by content."""
     seen = []
-    real = algorithms.solve_maxmin
+    real = lp.solve_maxmin
 
     def counted(sub):
         seen.append((sub.agents, repr(sub.resources), repr(sub.beneficiaries)))
         return real(sub)
 
-    monkeypatch.setattr(algorithms, "solve_maxmin", counted)
+    monkeypatch.setattr(lp, "solve_maxmin", counted)
     return seen
 
 
@@ -394,7 +411,7 @@ def test_no_memo_survives_a_run(monkeypatch):
 def test_no_memo_survives_a_run_that_raised(monkeypatch):
     inst = _ring()
     expected = _fresh(inst, monkeypatch)
-    real = algorithms.solve_maxmin
+    real = lp.solve_maxmin
     calls = []
 
     def failing(sub):
@@ -404,7 +421,7 @@ def test_no_memo_survives_a_run_that_raised(monkeypatch):
         return real(sub)
 
     with monkeypatch.context() as m:
-        m.setattr(algorithms, "solve_maxmin", failing)
+        m.setattr(lp, "solve_maxmin", failing)
         with pytest.raises(LocalAlgorithmError, match="injected"):
             run_local(inst, LocalAveraging(1))
     assert algorithms._BALL_LP_MEMO.get() is None
@@ -429,14 +446,14 @@ def test_failing_ball_lp_names_agent_ball_and_radius(monkeypatch):
     # which agent was deciding and which ball LP failed
     inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=2))
     doomed = tuple(sorted(oracles.ball(inst, 32, 2)))
-    real = algorithms.solve_maxmin
+    real = lp.solve_maxmin
 
     def failing(sub):
         if sub.agents == doomed:
             raise ArithmeticError("simplex returned an infeasible point")
         return real(sub)
 
-    monkeypatch.setattr(algorithms, "solve_maxmin", failing)
+    monkeypatch.setattr(lp, "solve_maxmin", failing)
     with pytest.raises(LocalAlgorithmError) as info:
         run_local(inst, LocalAveraging(2))
     assert isinstance(info.value.__cause__, ArithmeticError)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from cli_child import cli
+from maxminlp import model
 from maxminlp.cli import main
 from maxminlp.model import load_instance
 
@@ -121,6 +122,24 @@ def test_run_and_eval_round_trip(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("instance,algorithm,")
     assert lines[1].startswith("torus.json,safe,True,")
+
+
+@pytest.mark.parametrize("algorithm", [("safe",), ("local-avg", "--radius", "1")])
+def test_run_audits_its_instance_once(tmp_path, monkeypatch, algorithm):
+    # load_instance and run_local both ask for the validation report; the
+    # instance keeps it, so only the first request audits the rows
+    path = tmp_path / "torus.json"
+    assert main(["gen-torus", "--dim", "2", "--side", "4", "-o", str(path)]) == 0
+    audited = []
+    real = model._check_rows
+
+    def counted(kind, *rest):
+        audited.append(kind)
+        return real(kind, *rest)
+
+    monkeypatch.setattr(model, "_check_rows", counted)
+    assert main(["run", str(path), "--algorithm", *algorithm]) == 0
+    assert audited == ["resource", "beneficiary"]
 
 
 def test_run_local_avg_requires_radius(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from maxminlp import evaluation
+from maxminlp import lp
 from maxminlp.evaluation import (
     EvaluationReport,
     acyclicity,
@@ -79,7 +79,7 @@ def test_ratio_branches():
 
 
 def test_ratio_refuses_oversized_instances(monkeypatch):
-    monkeypatch.setattr(evaluation, "solve_maxmin", _no_oracle)
+    monkeypatch.setattr(lp, "solve_maxmin", _no_oracle)
     inst = gen_random(12, 3, seed=0)
     report = evaluate(inst, Assignment({v: 0.0 for v in inst.agents}), oracle_cap=5)
     assert report.omega_star is None
@@ -117,7 +117,7 @@ def test_evaluate_serialises_unbounded_ratio():
 
 def test_evaluate_rejects_nonpositive_radius(monkeypatch):
     # refused before any work: the exact oracle never starts
-    monkeypatch.setattr(evaluation, "solve_maxmin", _no_oracle)
+    monkeypatch.setattr(lp, "solve_maxmin", _no_oracle)
     with pytest.raises(ValueError, match="R >= 1"):
         evaluate(pair(), Assignment({0: 0.0, 1: 0.0}), R=0)
 

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from maxminlp import lp
@@ -105,6 +106,14 @@ def test_maxmin_matches_reference_solver(seed):
         for row in inst.beneficiaries.values()
     )
     assert worst == pytest.approx(omega, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6))
+def test_optimum_matches_highs_on_small_random_instances(n_agents, max_support, seed):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    _, omega = solve_maxmin(inst)
+    assert abs(omega - oracles.linprog_maxmin(inst)) <= 1e-9
 
 
 @pytest.mark.parametrize("dim, side", [(1, 4), (1, 6), (2, 3), (2, 4)])

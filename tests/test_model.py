@@ -1,9 +1,13 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxminlp import algorithms
+from maxminlp.generators import gen_random
 from maxminlp.model import (
     Assignment,
     Instance,
@@ -118,6 +122,19 @@ def test_instance_json_round_trip(tmp_path):
     assert first.endswith(b"\n")
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6))
+def test_random_instances_survive_save_load_save_byte_for_byte(n_agents, max_support, seed):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        save_instance(inst, first)
+        loaded = load_instance(first)
+        save_instance(loaded, second)
+        assert loaded == inst
+        assert second.read_bytes() == first.read_bytes()
+
+
 def test_instance_json_tolerates_extra_top_level_keys(tmp_path):
     inst = chain()
     path = tmp_path / "inst.json"
@@ -157,6 +174,16 @@ def test_assignment_round_trip(tmp_path):
     path = tmp_path / "a.json"
     dump_json(payload, path)
     assert assignment_from_dict(json.loads(path.read_text())).values == a.values
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 10**9), st.floats(allow_nan=False, allow_infinity=False)))
+def test_assignments_round_trip_bit_for_bit(values):
+    payload = assignment_to_dict(Assignment(values))
+    for back in (payload, json.loads(json.dumps(payload))):
+        got = assignment_from_dict(back).values
+        # hex, so that -0.0 and 0.0 count as different
+        assert {v: x.hex() for v, x in got.items()} == {v: x.hex() for v, x in values.items()}
 
 
 def test_assignment_from_dict_rejects_malformed():
