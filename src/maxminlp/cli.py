@@ -2,9 +2,9 @@
 
 Every file written embeds the configuration that produced it, and all JSON
 goes through one canonical writer, so rerunning a command reproduces its
-outputs byte for byte.  Input paths are deliberately not part of the
-embedded configuration; moving an instance file around must not change
-what gets computed from it.
+outputs byte for byte.  That configuration is the parsed arguments minus
+the input and output paths, plus the values a command works out itself;
+moving an instance file around must not change what gets computed from it.
 
 Exit status: 0 on success, 1 on any domain error (bad input file,
 infeasible request, exhausted search), 2 on usage errors.
@@ -30,41 +30,29 @@ from .model import (
     save_instance,
 )
 
-ORACLE_CAP_ENV = "MAXMINLP_ORACLE_CAP"
+# the handler and every input or output path stay out of the embedded config
+_NOT_CONFIG = frozenset({"func", "instance", "assignment", "output", "csv"})
 
 
-def _resolve_oracle_cap(flag_value):
-    # precedence: explicit flag, then environment, then the built-in default
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}") from None
+def _config(args, **resolved):
+    """The parsed arguments minus paths; ``resolved`` sets worked-out values."""
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+    config.update(resolved)
+    return config
 
 
-def _describe(instance):
-    return (
-        f"{len(instance.agents)} agents, {len(instance.resources)} resources, "
-        f"{len(instance.beneficiaries)} beneficiaries"
+def _save_generated(instance, args, **resolved):
+    save_instance(instance, args.output, extra={"config": _config(args, **resolved)})
+    print(
+        f"wrote {args.output} ({len(instance.agents)} agents, "
+        f"{len(instance.resources)} resources, "
+        f"{len(instance.beneficiaries)} beneficiaries)"
     )
 
 
 def _cmd_gen_torus(args):
     params = TorusParams(dim=args.dim, side=args.side, perturb=args.perturb, seed=args.seed)
-    instance = gen_torus(params)
-    config = {
-        "command": "gen-torus",
-        "dim": args.dim,
-        "side": args.side,
-        "perturb": args.perturb,
-        "seed": args.seed,
-    }
-    save_instance(instance, args.output, extra={"config": config})
-    print(f"wrote {args.output} ({_describe(instance)})")
+    _save_generated(gen_torus(params), args)
     return 0
 
 
@@ -75,16 +63,7 @@ def _cmd_gen_random(args):
         coeff_range=(args.coeff_min, args.coeff_max),
         seed=args.seed,
     )
-    config = {
-        "command": "gen-random",
-        "agents": args.agents,
-        "max_support": args.max_support,
-        "coeff_min": args.coeff_min,
-        "coeff_max": args.coeff_max,
-        "seed": args.seed,
-    }
-    save_instance(instance, args.output, extra={"config": config})
-    print(f"wrote {args.output} ({_describe(instance)})")
+    _save_generated(instance, args)
     return 0
 
 
@@ -92,18 +71,9 @@ def _cmd_gen_lowerbound(args):
     instance, meta = build_adversarial_instance(
         args.d, args.D, args.r, args.R, args.seed, n_per_side=args.n_per_side
     )
-    config = {
-        "command": "gen-lowerbound",
-        "d": args.d,
-        "D": args.D,
-        "r": args.r,
-        "R": args.R,
-        "seed": args.seed,
-        "n_per_side": meta.n_per_side,
-        "template_girth": meta.template.girth,
-    }
-    save_instance(instance, args.output, extra={"config": config})
-    print(f"wrote {args.output} ({_describe(instance)})")
+    _save_generated(
+        instance, args, n_per_side=meta.n_per_side, template_girth=meta.template.girth
+    )
     print(f"template girth {meta.template.girth}, degree {meta.template.degree}")
     return 0
 
@@ -115,7 +85,7 @@ def _cmd_solve(args):
     assignment, omega = solve_maxmin(instance)
     print(f"omega = {omega:.12g}")
     if args.output:
-        payload = {"config": {"command": "solve"}, "omega": omega}
+        payload = {"config": _config(args), "omega": omega}
         payload.update(assignment_to_dict(assignment))
         dump_json(payload, args.output)
     return 0
@@ -130,14 +100,7 @@ def _cmd_run(args):
     else:
         print(f"{algorithm.name}: instance has no beneficiaries")
     if args.output:
-        payload = {
-            "config": {
-                "command": "run",
-                "algorithm": args.algorithm,
-                "radius": args.radius,
-            },
-            "algorithm": algorithm.name,
-        }
+        payload = {"config": _config(args), "algorithm": algorithm.name}
         payload.update(assignment_to_dict(assignment))
         dump_json(payload, args.output)
     return 0
@@ -157,17 +120,7 @@ def _cmd_adversary(args):
     print(f"theoretical floor = {report.theoretical_floor:.12g}")
     if args.output:
         payload = report.to_dict()
-        payload["config"] = {
-            "command": "adversary",
-            "algorithm": args.algorithm,
-            "radius": args.radius,
-            "d": args.d,
-            "D": args.D,
-            "r": args.r,
-            "R": args.R,
-            "seed": args.seed,
-            "n_per_side": report.params["n_per_side"],
-        }
+        payload["config"] = _config(args, n_per_side=report.params["n_per_side"])
         dump_json(payload, args.output)
     return 0
 
@@ -176,8 +129,7 @@ def _cmd_eval(args):
     instance = load_instance(args.instance)
     payload = load_json(args.assignment)
     assignment = assignment_from_dict(payload)
-    cap = _resolve_oracle_cap(args.oracle_cap)
-    report = evaluate(instance, assignment, R=args.radius, oracle_cap=cap)
+    report = evaluate(instance, assignment, R=args.radius, oracle_cap=args.oracle_cap)
     print(f"feasible = {report.feasible} (max violation {report.max_violation:.3g})")
     print("omega = " + ("undefined" if report.omega is None else f"{report.omega:.12g}"))
     if report.omega_star is not None:
@@ -188,11 +140,7 @@ def _cmd_eval(args):
         print(f"note: {note}")
     if args.output:
         out = report.to_dict()
-        out["config"] = {
-            "command": "eval",
-            "radius": args.radius,
-            "oracle_cap": cap,
-        }
+        out["config"] = _config(args)
         dump_json(out, args.output)
     if args.csv:
         label = os.path.basename(args.instance)
@@ -206,16 +154,8 @@ def _cmd_growth(args):
     gamma = growth_factor(instance, args.radius)
     print(f"gamma({args.radius}) = {gamma.numerator}/{gamma.denominator}")
     if args.output:
-        dump_json(
-            {
-                "config": {"command": "growth", "radius": args.radius},
-                "gamma": {
-                    "numerator": gamma.numerator,
-                    "denominator": gamma.denominator,
-                },
-            },
-            args.output,
-        )
+        fraction = {"numerator": gamma.numerator, "denominator": gamma.denominator}
+        dump_json({"config": _config(args), "gamma": fraction}, args.output)
     return 0
 
 
@@ -236,6 +176,15 @@ def _add_algorithm(p):
         default=None,
         help="averaging radius (required for local-avg)",
     )
+
+
+def _add_attack(p):
+    p.add_argument("-d", type=int, required=True, help="children per packing row")
+    p.add_argument("-D", type=int, required=True, help="children per benefit row")
+    p.add_argument("-r", type=int, required=True, help="attack radius")
+    p.add_argument("-R", type=int, required=True, help="tree parameter, must exceed r")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-per-side", type=int, default=None, help="template width override")
 
 
 def build_parser():
@@ -266,12 +215,7 @@ def build_parser():
         "gen-lowerbound",
         help="glued hypertree instance used by the adversarial pipeline",
     )
-    p.add_argument("-d", type=int, required=True, help="children per packing row")
-    p.add_argument("-D", type=int, required=True, help="children per benefit row")
-    p.add_argument("-r", type=int, required=True, help="attack radius")
-    p.add_argument("-R", type=int, required=True, help="tree parameter, must exceed r")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-side", type=int, default=None, help="template width override")
+    _add_attack(p)
     _add_output(p, required=True)
     p.set_defaults(func=_cmd_gen_lowerbound)
 
@@ -288,12 +232,7 @@ def build_parser():
 
     p = sub.add_parser("adversary", help="certify a ratio lower bound for an algorithm")
     _add_algorithm(p)
-    p.add_argument("-d", type=int, required=True, help="children per packing row")
-    p.add_argument("-D", type=int, required=True, help="children per benefit row")
-    p.add_argument("-r", type=int, required=True, help="attack radius")
-    p.add_argument("-R", type=int, required=True, help="tree parameter, must exceed r")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-side", type=int, default=None, help="template width override")
+    _add_attack(p)
     _add_output(p)
     p.set_defaults(func=_cmd_adversary)
 
@@ -304,8 +243,8 @@ def build_parser():
     p.add_argument(
         "--oracle-cap",
         type=int,
-        default=None,
-        help=f"largest instance the exact oracle accepts (env {ORACLE_CAP_ENV})",
+        default=DEFAULT_ORACLE_CAP,
+        help="largest instance the exact oracle accepts (default %(default)s)",
     )
     p.add_argument("--csv", default=None, help="also write a one-row CSV report here")
     _add_output(p)

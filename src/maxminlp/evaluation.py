@@ -95,6 +95,8 @@ def evaluate(instance, assignment, tol=1e-9, R=None, oracle_cap=DEFAULT_ORACLE_C
     """
     if R is not None and R < 1:
         raise ValueError("the certificate needs R >= 1")
+    if oracle_cap < 0:
+        raise ValueError(f"the oracle cap must be at least 0, got {oracle_cap}")
     feasible, worst = feasibility(instance, assignment, tol)
     got = benefits(instance, assignment)
     notes = []
@@ -158,19 +160,8 @@ def write_reports_csv(path, entries):
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
         writer.writeheader()
         for label, algorithm, report in entries:
-            flat = report.to_dict()
-            writer.writerow(
-                {
-                    "instance": label,
-                    "algorithm": algorithm,
-                    "feasible": flat["feasible"],
-                    "max_violation": flat["max_violation"],
-                    "omega": flat["omega"],
-                    "omega_star": flat["omega_star"],
-                    "ratio": flat["ratio"],
-                    "certificate": flat["certificate"],
-                }
-            )
+            flat = {"instance": label, "algorithm": algorithm, **report.to_dict()}
+            writer.writerow({field: flat[field] for field in CSV_FIELDS})
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -71,8 +72,8 @@ def gen_random(n_agents, max_support, coeff_range=(0.5, 2.0), seed=0):
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
     lo, hi = coeff_range
-    if not (0 < lo <= hi):
-        raise ValueError("coefficient range must satisfy 0 < lo <= hi")
+    if not (0 < lo <= hi < math.inf):
+        raise ValueError("coefficient range must be finite and satisfy 0 < lo <= hi")
 
     rng = random.Random(seed)
     agents = list(range(n_agents))

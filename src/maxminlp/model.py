@@ -45,28 +45,22 @@ class Instance:
 
     def agent_resources(self):
         """Map agent -> ascending ids of the resource rows covering it."""
-        got = self._cache.get("I_of")
-        if got is None:
-            acc = {v: [] for v in self.agents}
-            for i, row in self.resources.items():
-                for v in row:
-                    if v in acc:
-                        acc[v].append(i)
-            got = {v: tuple(ids) for v, ids in acc.items()}
-            self._cache["I_of"] = got
-        return got
+        return self._incidence("I_of", self.resources)
 
     def agent_beneficiaries(self):
         """Map agent -> ascending ids of the beneficiary rows drawing on it."""
-        got = self._cache.get("K_of")
+        return self._incidence("K_of", self.beneficiaries)
+
+    def _incidence(self, key, rows):
+        got = self._cache.get(key)
         if got is None:
             acc = {v: [] for v in self.agents}
-            for k, row in self.beneficiaries.items():
+            for rid, row in rows.items():
                 for v in row:
                     if v in acc:
-                        acc[v].append(k)
+                        acc[v].append(rid)
             got = {v: tuple(ids) for v, ids in acc.items()}
-            self._cache["K_of"] = got
+            self._cache[key] = got
         return got
 
 

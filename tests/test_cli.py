@@ -203,19 +203,24 @@ def test_eval_oracle_cap_env_and_flag(tmp_path):
     out = tmp_path / "zero.json"
     cli("run", str(path), "--algorithm", "zero", "-o", str(out))
 
-    proc = cli("eval", str(path), str(out), env={"MAXMINLP_ORACLE_CAP": "2"})
+    proc = cli("eval", str(path), str(out), "--oracle-cap", "2")
     assert proc.returncode == 0
-    assert "oracle unavailable" in proc.stdout
+    assert "oracle unavailable: 9 agents exceed the cap of 2" in proc.stdout
 
-    # the flag beats the environment
-    proc = cli("eval", str(path), str(out), "--oracle-cap", "50",
-               env={"MAXMINLP_ORACLE_CAP": "2"})
+    proc = cli("eval", str(path), str(out), "--oracle-cap", "50")
     assert proc.returncode == 0
     assert "oracle unavailable" not in proc.stdout
 
-    proc = cli("eval", str(path), str(out), env={"MAXMINLP_ORACLE_CAP": "lots"})
-    assert proc.returncode == 1
-    assert "MAXMINLP_ORACLE_CAP" in proc.stderr
+    # the flag is the only way to set the cap: the former environment
+    # variable changes neither the printed report nor the written one
+    runs = []
+    for env in (None, {"MAXMINLP_ORACLE_CAP": "2"}):
+        report = tmp_path / f"report{len(runs)}.json"
+        proc = cli("eval", str(path), str(out), "-o", str(report), env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert "oracle unavailable" not in runs[0][0]
 
 
 def test_exit_codes(tmp_path):
@@ -224,6 +229,10 @@ def test_exit_codes(tmp_path):
     assert cli("gen-torus", "--dim", "0", "--side", "3",
                "-o", str(tmp_path / "x.json")).returncode == 1
     assert cli("gen-torus", "--dim", "2", "--side", "3").returncode == 2  # no -o
+    # an infinite coefficient would be written as Infinity, which is not JSON
+    assert cli("gen-random", "--agents", "5", "--coeff-max", "inf",
+               "-o", str(tmp_path / "inf.json")).returncode == 1
+    assert not (tmp_path / "inf.json").exists()
 
 
 def _two_agents(agents=(0, 1), resource=None):

@@ -122,6 +122,13 @@ def test_evaluate_rejects_nonpositive_radius(monkeypatch):
         evaluate(pair(), Assignment({0: 0.0, 1: 0.0}), R=0)
 
 
+def test_evaluate_rejects_a_negative_oracle_cap(monkeypatch):
+    # refused before any work: the exact oracle never starts
+    monkeypatch.setattr(lp, "solve_maxmin", _no_oracle)
+    with pytest.raises(ValueError, match="oracle cap must be at least 0"):
+        evaluate(pair(), Assignment({0: 0.0, 1: 0.0}), oracle_cap=-3)
+
+
 def test_csv_report_golden(tmp_path):
     report = EvaluationReport(
         feasible=True,

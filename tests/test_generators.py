@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from maxminlp.generators import TorusParams, gen_random, gen_torus
@@ -103,3 +105,6 @@ def test_random_argument_validation():
         gen_random(5, 2, coeff_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         gen_random(5, 2, coeff_range=(2.0, 1.0))
+    for coeff_range in ((0.5, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            gen_random(5, 2, coeff_range=coeff_range)
