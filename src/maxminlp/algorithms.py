@@ -232,9 +232,9 @@ def run_local(instance, algorithm):
     Raises :class:`InvalidInstanceError` before any agent decides when the
     instance fails :func:`~maxminlp.model.validate`.
     """
-    report = validate(instance)
-    if report.violations:
-        raise InvalidInstanceError(report.violations)
+    violations = validate(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
     token = _BALL_LP_MEMO.set({})
     try:
         values = {}
@@ -254,7 +254,13 @@ def run_local(instance, algorithm):
 
 
 def make_algorithm(name, R=None):
-    """Resolve an algorithm by its command-line name."""
+    """Resolve an algorithm by its command-line name.
+
+    Only local-avg takes the averaging radius R; one given to zero or safe is
+    refused rather than ignored.
+    """
+    if name in ("zero", "safe") and R is not None:
+        raise ValueError(f"{name} uses no averaging radius R; only local-avg takes one")
     if name == "zero":
         return ZeroAlgorithm()
     if name == "safe":

@@ -174,7 +174,7 @@ def _add_algorithm(p):
         "--radius",
         type=int,
         default=None,
-        help="averaging radius (required for local-avg)",
+        help="averaging radius (local-avg only, where it is required)",
     )
 
 

@@ -1,12 +1,4 @@
-"""Judging assignments: feasibility, objectives, ratios, a structural check.
-
-``acyclicity`` checks that the adversary's carve is a forest, from the raw
-rows with self-contained code; the adversary itself never calls it, so it
-serves as an independent check on the algorithm modules rather than
-inheriting their bugs.  The ball statistics that the averaging guarantee
-quotes live in ``tests/oracles.py`` (``locality_profile``), next to the
-other reference implementations that share no code with the package.
-"""
+"""Judging assignments: feasibility, objectives, ratios, the growth certificate."""
 
 from __future__ import annotations
 
@@ -118,7 +110,8 @@ def evaluate(instance, assignment, tol=1e-9, R=None, oracle_cap=DEFAULT_ORACLE_C
             ratio = omega_star / omega
         elif omega_star > 0.0:
             ratio = math.inf
-            notes.append("achieved objective is zero: ratio unbounded")
+            sign = "zero" if omega == 0.0 else "negative"
+            notes.append(f"achieved objective is {sign}: ratio unbounded")
         else:
             ratio = 1.0
 
@@ -162,38 +155,3 @@ def write_reports_csv(path, entries):
         for label, algorithm, report in entries:
             flat = {"instance": label, "algorithm": algorithm, **report.to_dict()}
             writer.writerow({field: flat[field] for field in CSV_FIELDS})
-
-
-# ---------------------------------------------------------------------------
-# A structural check on the adversary's carve.
-
-
-def acyclicity(instance):
-    """True when the agent-row incidence graph is a forest.
-
-    Union-find over incidences: joining two already-connected nodes closes a
-    cycle.  Two rows sharing two agents already count as cyclic.
-    """
-    parent = {}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for v in instance.agents:
-        parent[("agent", v)] = ("agent", v)
-    rows = [("resource", i, row) for i, row in instance.resources.items()]
-    rows += [("beneficiary", k, row) for k, row in instance.beneficiaries.items()]
-    for kind, rid, row in rows:
-        node = (kind, rid)
-        parent[node] = node
-        for v in row:
-            ra, rb = find(node), find(("agent", v))
-            if ra == rb:
-                return False
-            parent[ra] = rb
-    return True

@@ -116,12 +116,7 @@ class View:
 
 
 def extract_view(instance, v, r):
-    H = hypergraph(instance)
-    if v not in H._adj:
-        raise ValueError(f"unknown agent id {v}")
-    if r < 0:
-        raise ValueError("horizon must be nonnegative")
-    members = sorted(H.ball(v, r))
+    members = sorted(hypergraph(instance).ball(v, r))
     I_of = instance.agent_resources()
     K_of = instance.agent_beneficiaries()
 

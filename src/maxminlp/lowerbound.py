@@ -317,7 +317,6 @@ class LowerBoundMeta:
     type3_edges: tuple
     p: int | None = None
     root: int | None = None
-    selected_agents: frozenset | None = None
     delta: dict | None = None
 
     def tree_agents(self, q):
@@ -449,10 +448,7 @@ def select_hard_subinstance(instance, meta, assignment):
     for leaf in meta.tree_levels[p][-1]:
         keep |= H.ball(leaf, 2 * meta.r)
     sub = restrict(instance, keep)
-    meta_after = replace(
-        meta, p=p, root=meta.tree_levels[p][0][0], selected_agents=frozenset(keep), delta=delta
-    )
-    return sub, meta_after
+    return sub, replace(meta, p=p, root=meta.tree_levels[p][0][0], delta=delta)
 
 
 def level_sums(meta, assignment):

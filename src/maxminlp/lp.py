@@ -49,11 +49,11 @@ class EmptyBeneficiaryError(ValueError):
 
 
 class MaxMinLP(NamedTuple):
-    """The epigraph program: column labels, row labels, (row, column,
-    coefficient) arrays of the constraint matrix's nonzeros, right-hand sides."""
+    """The epigraph program: the column count, (row, column, coefficient)
+    arrays of the constraint matrix's nonzeros, and one right-hand side per
+    row."""
 
-    columns: tuple
-    rows: tuple
+    n_columns: int
     entries: tuple
     rhs: np.ndarray
 
@@ -70,24 +70,23 @@ def assemble_maxmin_lp(sub_instance):
             "empty K: the max-min objective needs at least one beneficiary"
         )
     col = {v: 1 + t for t, v in enumerate(sub_instance.agents)}
-    labels, entries = [], []
+    entries = []
+    r = 0
     for kind, mapping, sign in (
         ("resource", sub_instance.resources, 1.0),
         ("beneficiary", sub_instance.beneficiaries, -1.0),
     ):
         for i, row in mapping.items():
-            r = len(labels)
-            labels.append(f"{kind}:{i}")
             if sign < 0:
                 entries.append((r, 0, 1.0))
             for v, a in row.items():
                 if v not in col:
                     raise ValueError(f"{kind} {i} references unknown agent {v}")
                 entries.append((r, col[v], sign * a))
+            r += 1
     r, c, a = zip(*entries)
     return MaxMinLP(
-        columns=("omega",) + tuple(f"x{v}" for v in sub_instance.agents),
-        rows=tuple(labels),
+        n_columns=1 + len(sub_instance.agents),
         entries=(np.array(r, dtype=np.intp), np.array(c, dtype=np.intp), np.array(a)),
         rhs=np.array([1.0] * len(sub_instance.resources) + [0.0] * len(sub_instance.beneficiaries)),
     )
@@ -126,7 +125,7 @@ def _pivot(T, pr, pc):
 def _activity(lp, x):
     """Row activities A x of the structural point x."""
     r, c, a = lp.entries
-    return np.bincount(r, weights=a * x[c], minlength=len(lp.rows))
+    return np.bincount(r, weights=a * x[c], minlength=len(lp.rhs))
 
 
 class _Solve:
@@ -141,7 +140,7 @@ class _Solve:
 
     def __init__(self, lp):
         self.lp = lp
-        self.m, self.n = m, n = len(lp.rows), len(lp.columns)
+        self.m, self.n = m, n = len(lp.rhs), lp.n_columns
         self.T = np.empty((m + 1, n + 1))
         _load(self.T, lp)
         self.basis = n + np.arange(m)

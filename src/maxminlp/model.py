@@ -64,31 +64,6 @@ class Instance:
         return got
 
 
-@dataclass(frozen=True)
-class DegreeBounds:
-    """Exact maxima of the four support/participation degrees.
-
-    delta_VI: largest resource support, delta_VK: largest beneficiary
-    support, delta_IV: most resources any one agent is packed by, delta_KV:
-    most beneficiaries any one agent serves.
-    """
-
-    delta_VI: int
-    delta_VK: int
-    delta_IV: int
-    delta_KV: int
-
-
-@dataclass
-class ValidationReport:
-    violations: list
-    bounds: DegreeBounds | None
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
 def _check_rows(kind, rows, agent_set, violations):
     for rid, row in rows.items():
         if not row:
@@ -106,21 +81,20 @@ class InvalidInstanceError(ValueError):
     """An instance failed :func:`validate`; ``violations`` lists every defect."""
 
     def __init__(self, violations):
-        self.violations = violations
+        self.violations = list(violations)
         super().__init__("instance failed validation: " + "; ".join(violations[:5]))
 
 
 def validate(instance):
-    """Structural audit.  Never raises: every defect becomes one violation line.
+    """Structural audit: a tuple with one line per defect, empty when valid.
 
-    An instance is *valid* when the report carries no violations; all
-    downstream operations assume validity.  The report is cached on the
-    instance like its derived maps, so an instance that is loaded and then
-    run is audited once; treat the report as read-only.
+    Never raises.  All downstream operations assume validity.  The tuple is
+    cached on the instance like its derived maps, so an instance that is
+    loaded and then run is audited once.
     """
-    report = instance._cache.get("validation")
-    if report is not None:
-        return report
+    violations = instance._cache.get("validation")
+    if violations is not None:
+        return violations
     violations = []
     seen = set()
     for v in instance.agents:
@@ -138,17 +112,9 @@ def validate(instance):
     for v, ids in instance.agent_resources().items():
         if not ids:
             violations.append(f"agent {v}: no resource covers it (empty I_v)")
-
-    bounds = None
-    if instance.resources and instance.agents:
-        delta_VI = max(len(row) for row in instance.resources.values())
-        delta_VK = max((len(row) for row in instance.beneficiaries.values()), default=0)
-        delta_IV = max(len(ids) for ids in instance.agent_resources().values())
-        delta_KV = max(len(ids) for ids in instance.agent_beneficiaries().values())
-        bounds = DegreeBounds(delta_VI, delta_VK, delta_IV, delta_KV)
-    report = ValidationReport(violations, bounds)
-    instance._cache["validation"] = report
-    return report
+    violations = tuple(violations)
+    instance._cache["validation"] = violations
+    return violations
 
 
 def restrict(instance, agent_set):
@@ -195,8 +161,17 @@ def instance_to_dict(instance):
     }
 
 
+def _integer_id(value, what):
+    """``value`` itself when it is an integer; anything else, a float or a
+    boolean included, is refused rather than truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _by_agent(mapping, where):
-    """``{int(key): float(value)}``, refusing two keys that name one agent."""
+    """``{int(key): float(value)}``, refusing two keys that name one agent
+    and a boolean value."""
     out = {}
     keys = {}
     for key, value in mapping.items():
@@ -205,6 +180,8 @@ def _by_agent(mapping, where):
             raise ValueError(
                 f"{where}: keys {keys[v]!r} and {key!r} both name agent {v}"
             )
+        if isinstance(value, bool):
+            raise ValueError(f"{where}: {value!r} for agent {v} is not a number")
         keys[v] = key
         out[v] = float(value)
     return out
@@ -213,7 +190,7 @@ def _by_agent(mapping, where):
 def _rows_from_list(entries, kind):
     rows = {}
     for entry in entries:
-        rid = int(entry["id"])
+        rid = _integer_id(entry["id"], f"{kind} id")
         if rid in rows:
             raise ValueError(f"duplicate {kind} id {rid}")
         rows[rid] = _by_agent(entry["coeffs"], f"{kind} {rid}")
@@ -225,10 +202,12 @@ def instance_from_dict(payload):
 
     Two rows of one kind with the same id, or two coefficient keys that parse
     to the same agent (``"0"`` and ``"00"``), are rejected rather than letting
-    the last one win.
+    the last one win.  An agent or row id must be a JSON integer and a
+    coefficient must not be a boolean, so no id is truncated and no boolean
+    is read as 1 or 0.
     """
     try:
-        agents = tuple(int(v) for v in payload["agents"])
+        agents = tuple(_integer_id(v, "agent") for v in payload["agents"])
         resources = _rows_from_list(payload["resources"], "resource")
         beneficiaries = _rows_from_list(payload["beneficiaries"], "beneficiary")
     except (KeyError, TypeError, ValueError) as exc:
@@ -270,9 +249,9 @@ def save_instance(instance, path, extra=None):
 def load_instance(path):
     """Read an instance file, raising :class:`InvalidInstanceError` unless it validates."""
     instance = instance_from_dict(load_json(path))
-    report = validate(instance)
-    if report.violations:
-        raise InvalidInstanceError(report.violations)
+    violations = validate(instance)
+    if violations:
+        raise InvalidInstanceError(violations)
     return instance
 
 

@@ -5,7 +5,8 @@ code with the package, so a package bug cannot vouch for itself.  The grid
 search enumerates feasible lattice points outright, the LP reference is
 scipy's HiGHS, the graph quantities (balls, growth factors and the ball
 statistics of the averaging guarantee) are recomputed with plain set
-expansion.
+expansion, the degree maxima are counted off the rows, and the forest check
+on the incidence graph is networkx's.
 """
 
 from dataclasses import dataclass
@@ -76,6 +77,42 @@ def locality_profile(instance, R):
         per_beneficiary[k] = (len(inter), max(len(balls[v]) for v in row))
     beta = min(n_i / N_i for n_i, N_i in per_resource.values())
     return LocalityProfile(beta, per_resource, per_beneficiary)
+
+
+def degree_maxima(instance):
+    """(delta_VI, delta_VK, delta_IV, delta_KV) counted off the raw rows.
+
+    The largest resource support, the largest beneficiary support, the most
+    resources covering one agent and the most beneficiaries one agent serves.
+    """
+    packs = dict.fromkeys(instance.agents, 0)
+    serves = dict.fromkeys(instance.agents, 0)
+    for mapping, count in ((instance.resources, packs), (instance.beneficiaries, serves)):
+        for row in mapping.values():
+            for v in row:
+                count[v] += 1
+    return (
+        max(len(row) for row in instance.resources.values()),
+        max((len(row) for row in instance.beneficiaries.values()), default=0),
+        max(packs.values()),
+        max(serves.values()),
+    )
+
+
+def incidence_is_forest(instance):
+    """True when the agent-row incidence graph is a forest, via networkx.
+
+    Resource and beneficiary nodes are tagged apart, and every agent is a
+    node, so two rows sharing two agents form a cycle.
+    """
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from(("agent", v) for v in instance.agents)
+    for kind, mapping in (("resource", instance.resources), ("beneficiary", instance.beneficiaries)):
+        for rid, row in mapping.items():
+            G.add_edges_from((("agent", v), (kind, rid)) for v in row)
+    return nx.is_forest(G)
 
 
 def _epigraph(instance):

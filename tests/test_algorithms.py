@@ -65,9 +65,7 @@ def test_safe_feasible_and_within_factor(seed):
     ok, worst = feasibility(inst, out)
     assert ok, worst
     _, omega_star = solve_maxmin(inst)
-    from maxminlp.model import validate
-
-    bound = validate(inst).bounds.delta_VI
+    bound, _, _, _ = oracles.degree_maxima(inst)
     assert objective(inst, out) >= omega_star / bound - 1e-9
 
 
@@ -104,7 +102,7 @@ def test_local_outputs_are_feasible_on_small_random_instances(
     n_agents, max_support, seed, name
 ):
     inst = gen_random(n_agents, max_support, seed=seed)
-    x = run_local(inst, make_algorithm(name, R=1)).values
+    x = run_local(inst, make_algorithm(name, R=1 if name == "local-avg" else None)).values
     assert sorted(x) == list(inst.agents)
     assert min(x.values()) >= 0.0
     # from the raw rows, not through evaluation.feasibility
@@ -272,6 +270,9 @@ def test_make_algorithm_dispatch():
         make_algorithm("local-avg")
     with pytest.raises(ValueError):
         make_algorithm("greedy")
+    for name in ("zero", "safe"):
+        with pytest.raises(ValueError, match="only local-avg takes one"):
+            make_algorithm(name, R=1)
 
 
 def _mutate_outside(inst, protected, seed):

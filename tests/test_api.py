@@ -20,3 +20,37 @@ def test_public_surface_is_the_readme_library_snippet(capsys):
     exec(compile(snippet, "README.md", "exec"), {})
     omega, ratio, certificate = map(float, capsys.readouterr().out.split())
     assert omega > 0 and ratio >= 1 and certificate >= ratio
+
+
+def _references(tree, skip):
+    """Names that ``tree`` uses, reads as attributes or imports, outside ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_top_level_definition_in_src_has_a_caller_in_src():
+    # code that only the tests call belongs in tests/oracles.py, not the package
+    package = Path(maxminlp.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__"):
+                continue
+            if not any(node.name in _references(other, node) for other in trees.values()):
+                unused.append(f"{name}:{node.name}")
+    assert unused == []

@@ -126,8 +126,8 @@ def test_run_and_eval_round_trip(tmp_path):
 
 @pytest.mark.parametrize("algorithm", [("safe",), ("local-avg", "--radius", "1")])
 def test_run_audits_its_instance_once(tmp_path, monkeypatch, algorithm):
-    # load_instance and run_local both ask for the validation report; the
-    # instance keeps it, so only the first request audits the rows
+    # load_instance and run_local both ask for the violations; the
+    # instance keeps them, so only the first request audits the rows
     path = tmp_path / "torus.json"
     assert main(["gen-torus", "--dim", "2", "--side", "4", "-o", str(path)]) == 0
     audited = []
@@ -147,6 +147,17 @@ def test_run_local_avg_requires_radius(tmp_path):
     proc = cli("run", str(path), "--algorithm", "local-avg")
     assert proc.returncode == 1
     assert "averaging radius" in proc.stderr
+
+
+@pytest.mark.parametrize("algorithm", ["zero", "safe"])
+def test_run_refuses_a_radius_the_rule_does_not_use(tmp_path, algorithm):
+    # the radius used to be ignored yet embedded in the output's config
+    path = gen_torus(tmp_path)
+    out = tmp_path / "out.json"
+    proc = cli("run", str(path), "--algorithm", algorithm, "--radius", "5", "-o", str(out))
+    assert proc.returncode == 1
+    assert f"error: {algorithm} uses no averaging radius R" in proc.stderr
+    assert not out.exists()
 
 
 def test_growth_prints_exact_fraction(tmp_path):
@@ -196,6 +207,15 @@ def test_adversary_rejects_farsighted_algorithm(tmp_path):
                "-d", "2", "-D", "1", "-r", "1", "-R", "2")
     assert proc.returncode == 1
     assert "exceeds the attack radius" in proc.stderr
+
+
+def test_adversary_refuses_a_radius_the_rule_does_not_use(tmp_path):
+    out = tmp_path / "adv.json"
+    proc = cli("adversary", "--algorithm", "safe", "--radius", "1",
+               "-d", "1", "-D", "1", "-r", "1", "-R", "2", "-o", str(out))
+    assert proc.returncode == 1
+    assert "error: safe uses no averaging radius R" in proc.stderr
+    assert not out.exists()
 
 
 def test_eval_oracle_cap_env_and_flag(tmp_path):

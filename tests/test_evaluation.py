@@ -7,7 +7,6 @@ import oracles
 from maxminlp import lp
 from maxminlp.evaluation import (
     EvaluationReport,
-    acyclicity,
     benefits,
     evaluate,
     feasibility,
@@ -113,6 +112,15 @@ def test_evaluate_serialises_unbounded_ratio():
     report = evaluate(inst, Assignment({0: 0.0, 1: 0.0}))
     assert report.ratio == math.inf
     assert report.to_dict()["ratio"] == "unbounded"
+    assert report.notes == ("achieved objective is zero: ratio unbounded",)
+
+
+def test_evaluate_names_a_negative_objective():
+    # the note used to call omega = -0.4 zero
+    report = evaluate(pair(), Assignment({0: -0.2, 1: 0.2}))
+    assert report.omega == pytest.approx(-0.4)
+    assert report.ratio == math.inf
+    assert report.notes == ("achieved objective is negative: ratio unbounded",)
 
 
 def test_evaluate_rejects_nonpositive_radius(monkeypatch):
@@ -153,11 +161,11 @@ def test_acyclicity_classification():
         {0: {0: 1.0, 1: 1.0}},
         {1: {1: 1.0, 2: 1.0}, 2: {0: 1.0}},
     )
-    assert acyclicity(path_inst)
+    assert oracles.incidence_is_forest(path_inst)
     # two rows over the same pair close a cycle in the incidence structure
     looped = Instance((0, 1), {0: {0: 1.0, 1: 1.0}}, {1: {0: 1.0, 1: 1.0}})
-    assert not acyclicity(looped)
-    assert not acyclicity(gen_torus(TorusParams(dim=1, side=4)))
+    assert not oracles.incidence_is_forest(looped)
+    assert not oracles.incidence_is_forest(gen_torus(TorusParams(dim=1, side=4)))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -19,12 +19,17 @@ def test_assemble_epigraph_layout():
         beneficiaries={1: {4: 3.0}, 2: {7: 0.5}},
     )
     prog = assemble_maxmin_lp(inst)
-    assert prog.columns == ("omega", "x4", "x7")
-    assert prog.rows == ("resource:0", "beneficiary:1", "beneficiary:2")
+    # column 0 is omega, then x4 and x7; rows are resource 0, then
+    # beneficiaries 1 and 2
+    assert prog.n_columns == 3
     assert prog.rhs.tolist() == [1.0, 0.0, 0.0]
+    r, c, a = prog.entries
+    assert list(zip(r.tolist(), c.tolist(), a.tolist())) == [
+        (0, 1, 1.0), (0, 2, 2.0), (1, 0, 1.0), (1, 1, -3.0), (2, 0, 1.0), (2, 2, -0.5),
+    ]
     # the tableau the solver starts from and every rebuild reloads: the
     # constraint rows and right-hand sides, then the objective (maximise omega)
-    tableau = np.empty((len(prog.rows) + 1, len(prog.columns) + 1))
+    tableau = np.empty((len(prog.rhs) + 1, prog.n_columns + 1))
     lp._load(tableau, prog)
     assert tableau.tolist() == [
         [0.0, 1.0, 2.0, 1.0],
@@ -195,7 +200,7 @@ def test_singular_basis_at_a_rebuild_is_refused(monkeypatch):
 
 def test_rebuilds_run_every_m_pivots_and_depend_on_the_basis_alone():
     prog = assemble_maxmin_lp(_torus(10, 3))
-    m = len(prog.rows)
+    m = len(prog.rhs)
     solve = lp._Solve(prog)
     rebuild = solve.rebuild
     at = []

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from maxminlp import algorithms
 from maxminlp.generators import gen_random
 from maxminlp.model import (
@@ -53,14 +54,10 @@ def test_participation_maps():
     assert inst.agent_beneficiaries() == {0: (11,), 1: (10,), 2: (10,), 3: (12,)}
 
 
-def test_validate_clean_instance_reports_exact_bounds():
-    report = validate(chain())
-    assert report.ok
-    assert report.violations == []
-    assert report.bounds.delta_VI == 2
-    assert report.bounds.delta_VK == 2
-    assert report.bounds.delta_IV == 2
-    assert report.bounds.delta_KV == 1
+def test_validate_clean_instance_and_its_degree_maxima():
+    assert validate(chain()) == ()
+    # (delta_VI, delta_VK, delta_IV, delta_KV)
+    assert oracles.degree_maxima(chain()) == (2, 2, 2, 1)
 
 
 @pytest.mark.parametrize(
@@ -84,15 +81,14 @@ def test_validate_flags_each_defect(mutate, fragment):
         "beneficiaries": {k: dict(r) for k, r in base.beneficiaries.items()},
     }
     mutate(parts)
-    report = validate(Instance(tuple(parts["agents"]), parts["resources"], parts["beneficiaries"]))
-    assert not report.ok
-    assert any(fragment in line for line in report.violations), report.violations
+    violations = validate(Instance(tuple(parts["agents"]), parts["resources"], parts["beneficiaries"]))
+    assert violations
+    assert any(fragment in line for line in violations), violations
 
 
 def test_validate_flags_uncovered_agent():
     inst = Instance((0, 1), {0: {0: 1.0}}, {1: {1: 1.0}})
-    report = validate(inst)
-    assert any("empty I_v" in line for line in report.violations)
+    assert any("empty I_v" in line for line in validate(inst))
 
 
 def test_restrict_strict_keeps_fully_inside_rows():
@@ -144,6 +140,27 @@ def test_instance_json_tolerates_extra_top_level_keys(tmp_path):
     assert load_instance(path) == inst
 
 
+def two_agents(resources=None, beneficiaries=None):
+    return {
+        "agents": [0, 1],
+        "resources": resources or [{"id": 0, "coeffs": {"0": 1.0, "1": 1.0}}],
+        "beneficiaries": beneficiaries or [{"id": 5, "coeffs": {"0": 1.0}}],
+    }
+
+
+# ids and coefficients that int() or float() would have truncated or coerced
+COERCED = [
+    ({**two_agents(), "agents": [0, 1.9]}, "agent 1.9 is not an integer"),
+    ({**two_agents(), "agents": [0, True]}, "agent True is not an integer"),
+    (two_agents(resources=[{"id": 5.5, "coeffs": {"0": 1.0, "1": 1.0}}]),
+     "resource id 5.5 is not an integer"),
+    (two_agents(beneficiaries=[{"id": False, "coeffs": {"0": 1.0}}]),
+     "beneficiary id False is not an integer"),
+    (two_agents(resources=[{"id": 0, "coeffs": {"0": 1.0, "1": True}}]),
+     "resource 0: True for agent 1 is not a number"),
+]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -152,10 +169,17 @@ def test_instance_json_tolerates_extra_top_level_keys(tmp_path):
         {"agents": [0], "resources": [{"id": 0}], "beneficiaries": []},
         {"agents": [0], "resources": [{"id": 0, "coeffs": {"x": 1.0}}], "beneficiaries": []},
         {"agents": "zero", "resources": [], "beneficiaries": []},
+        *(payload for payload, _ in COERCED),
     ],
 )
 def test_instance_from_dict_rejects_malformed(payload):
     with pytest.raises(ValueError):
+        instance_from_dict(payload)
+
+
+@pytest.mark.parametrize("payload, fragment", COERCED)
+def test_instance_from_dict_names_a_coerced_id_or_coefficient(payload, fragment):
+    with pytest.raises(ValueError, match=re.escape(fragment)):
         instance_from_dict(payload)
 
 
@@ -189,6 +213,8 @@ def test_assignments_round_trip_bit_for_bit(values):
 def test_assignment_from_dict_rejects_malformed():
     with pytest.raises(ValueError):
         assignment_from_dict({"values": {"a": 1.0}})
+    with pytest.raises(ValueError, match="values: True for agent 0 is not a number"):
+        assignment_from_dict({"values": {"0": True}})
     with pytest.raises(ValueError):
         assignment_from_dict({})
 
@@ -215,14 +241,6 @@ def test_load_instance_refuses_an_instance_that_fails_validation(tmp_path):
     assert info.value.violations == ["agent 0: duplicate id"]
     # the executor's refusal is the same class, wherever it is imported from
     assert algorithms.InvalidInstanceError is InvalidInstanceError
-
-
-def two_agents(resources=None, beneficiaries=None):
-    return {
-        "agents": [0, 1],
-        "resources": resources or [{"id": 0, "coeffs": {"0": 1.0, "1": 1.0}}],
-        "beneficiaries": beneficiaries or [{"id": 5, "coeffs": {"0": 1.0}}],
-    }
 
 
 @pytest.mark.parametrize(
