@@ -111,17 +111,18 @@ def _cmd_adversary(args):
     report = adversarial_lower_bound(
         algorithm, args.d, args.D, args.r, args.R, args.seed, n_per_side=args.n_per_side
     )
-    print(f"selected tree p = {report.p} (delta = {report.delta_max:.6g})")
-    print(f"omega_alg(sub) = {report.omega_alg_sub:.12g}")
-    if report.certified_ratio is None:
+    delta = report["delta"]
+    print(f"selected tree p = {delta['p']} (delta = {delta['max']:.6g})")
+    print(f"omega_alg(sub) = {report['omega_alg_sub']:.12g}")
+    ratio = report["certified_ratio"]
+    if ratio == "unbounded":
         print("certified ratio: unbounded (the algorithm earned nothing)")
     else:
-        print(f"certified ratio >= {report.certified_ratio:.12g}")
-    print(f"theoretical floor = {report.theoretical_floor:.12g}")
+        print(f"certified ratio >= {ratio:.12g}")
+    print(f"theoretical floor = {report['theoretical_floor']:.12g}")
     if args.output:
-        payload = report.to_dict()
-        payload["config"] = _config(args, n_per_side=report.params["n_per_side"])
-        dump_json(payload, args.output)
+        report["config"] = _config(args, n_per_side=report["params"]["n_per_side"])
+        dump_json(report, args.output)
     return 0
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 from .hypergraph import growth_factor
 
 DEFAULT_ORACLE_CAP = 200
+FEASIBILITY_TOL = 1e-9
 
 
 def _check_domain(instance, assignment):
@@ -17,11 +18,13 @@ def _check_domain(instance, assignment):
         raise ValueError("assignment domain does not match the instance's agents")
 
 
-def feasibility(instance, assignment, tol=1e-9):
+def feasibility(instance, assignment, tol=FEASIBILITY_TOL):
     """(feasible, max violation): the worst resource-row overshoot.
 
     The violation of a row is (load - 1); the reported maximum is negative
-    when every row has slack.  Negative activities below -tol also fail.
+    when every row has slack.  Negative activities below -tol also fail,
+    but the maximum covers rows only, so it stays negative when a negative
+    activity is the sole defect; :func:`evaluate` names that agent in a note.
     """
     _check_domain(instance, assignment)
     x = assignment.values
@@ -79,7 +82,7 @@ class EvaluationReport:
         }
 
 
-def evaluate(instance, assignment, tol=1e-9, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
+def evaluate(instance, assignment, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
     """One-stop report for an (instance, assignment) pair.
 
     Passing the averaging radius R adds the growth certificate
@@ -89,9 +92,12 @@ def evaluate(instance, assignment, tol=1e-9, R=None, oracle_cap=DEFAULT_ORACLE_C
         raise ValueError("the certificate needs R >= 1")
     if oracle_cap < 0:
         raise ValueError(f"the oracle cap must be at least 0, got {oracle_cap}")
-    feasible, worst = feasibility(instance, assignment, tol)
+    feasible, worst = feasibility(instance, assignment)
     got = benefits(instance, assignment)
     notes = []
+    value, agent = min(((x, v) for v, x in assignment.values.items()), default=(0.0, None))
+    if value < -FEASIBILITY_TOL:
+        notes.append(f"negative activity: agent {agent} has {value:.12g}")
     omega = min(got.values()) if got else None
     if omega is None:
         notes.append("no beneficiaries: objective undefined")

@@ -13,14 +13,14 @@ the approximation ratio any such rule can claim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .evaluation import feasibility, objective
 from .hypergraph import hypergraph
 from .model import Assignment, Instance, InvalidInstanceError, restrict
 from .algorithms import run_local
 
-DEFAULT_NODE_CAP = 200_000
+NODE_CAP = 200_000
 DELTA_CANCEL_TOL = 1e-9
 LEVEL_SUM_TOL = 1e-9
 
@@ -51,15 +51,8 @@ class Hypertree:
     in level order, so rebuilding with the same arguments is byte-stable.
     """
 
-    d: int
-    D: int
-    height: int
     levels: list
     edges: list
-
-    @property
-    def root(self):
-        return self.levels[0][0]
 
     @property
     def leaves(self):
@@ -74,15 +67,15 @@ def hypertree_node_count(d, D, height):
     return total
 
 
-def build_hypertree(d, D, height, first_id=0, node_cap=DEFAULT_NODE_CAP):
+def build_hypertree(d, D, height, first_id=0):
     if d < 1 or D < 1:
         raise ValueError("branching factors must be at least 1")
     if height < 0:
         raise ValueError("height must be nonnegative")
     count = hypertree_node_count(d, D, height)
-    if count > node_cap:
+    if count > NODE_CAP:
         raise SizeCapError(
-            f"hypertree would have {count} nodes, above the cap of {node_cap}"
+            f"hypertree would have {count} nodes, above the cap of {NODE_CAP}"
         )
     levels = [[first_id]]
     next_id = first_id + 1
@@ -96,7 +89,7 @@ def build_hypertree(d, D, height, first_id=0, node_cap=DEFAULT_NODE_CAP):
             edges.append(("I" if level % 2 == 0 else "II", (node, *children)))
             grown.extend(children)
         levels.append(grown)
-    return Hypertree(d=d, D=D, height=height, levels=levels, edges=edges)
+    return Hypertree(levels=levels, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +224,7 @@ class _PartialTemplate:
         return seen
 
 
-def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=10_000):
+def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=100):
     """Seeded randomized greedy: add ``degree`` perfect matchings edge by
     edge, never joining two vertices closer than min_girth - 1 in the graph
     built so far, restarting from scratch whenever a matching gets stuck.
@@ -245,7 +238,8 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=10
 
     Raises TemplateGenerationError with advice once the attempt budget runs
     out; for a fixed seed the accepted graph (and hence everything built on
-    it) is deterministic.
+    it) is deterministic.  At the default width a few restarts suffice, so
+    the budget of 100 refuses a width that is too narrow within seconds.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -303,21 +297,13 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=10
 
 @dataclass
 class LowerBoundMeta:
-    """Construction bookkeeping the pipeline needs after the fact."""
+    """What the construction fixes and the later steps of the attack read."""
 
-    d: int
-    D: int
     r: int
-    R: int
-    seed: int
     n_per_side: int
     template: BipartiteTemplate
     tree_levels: dict
     leaf_pair: dict
-    type3_edges: tuple
-    p: int | None = None
-    root: int | None = None
-    delta: dict | None = None
 
     def tree_agents(self, q):
         return [v for level in self.tree_levels[q] for v in level]
@@ -341,9 +327,7 @@ def default_template_width(degree, min_girth):
     return max(degree + 1, 2 * blocked)
 
 
-def build_adversarial_instance(
-    d, D, r, R, seed, n_per_side=None, node_cap=DEFAULT_NODE_CAP
-):
+def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
     """One hypertree of height 2R-1 per template vertex, leaves paired along
     template edges.  Packing rows are the trees' type-I edges (coefficient 1);
     benefit rows are the type-II edges (coefficient 1/D) plus one unit row per
@@ -362,9 +346,9 @@ def build_adversarial_instance(
     height = 2 * R - 1
     per_tree = hypertree_node_count(d, D, height)
     total_agents = 2 * n_per_side * per_tree
-    if total_agents > node_cap:
+    if total_agents > NODE_CAP:
         raise SizeCapError(
-            f"construction would have {total_agents} agents, above the cap of {node_cap}"
+            f"construction would have {total_agents} agents, above the cap of {NODE_CAP}"
         )
 
     template = build_regular_bipartite(degree, 4 * r + 2, n_per_side, seed)
@@ -372,7 +356,7 @@ def build_adversarial_instance(
     trees = {}
     next_id = 0
     for q in template.vertices:
-        trees[q] = build_hypertree(d, D, height, first_id=next_id, node_cap=node_cap)
+        trees[q] = build_hypertree(d, D, height, first_id=next_id)
         next_id += per_tree
 
     # pair leaves along template edges: vertex q's leaves, in level order,
@@ -405,23 +389,19 @@ def build_adversarial_instance(
 
     instance = Instance(tuple(range(total_agents)), resources, beneficiaries)
     meta = LowerBoundMeta(
-        d=d,
-        D=D,
         r=r,
-        R=R,
-        seed=seed,
         n_per_side=n_per_side,
         template=template,
         tree_levels={q: trees[q].levels for q in template.vertices},
         leaf_pair=leaf_pair,
-        type3_edges=tuple(type3),
     )
     return instance, meta
 
 
 def select_hard_subinstance(instance, meta, assignment):
     """Pick the tree whose leaves fare best against their partners and carve
-    it out together with a radius-2r shell around its leaves.
+    it out together with a radius-2r shell around its leaves.  Returns
+    (sub-instance, selected template vertex p, delta by template vertex).
 
     delta(q) sums x(leaf) - x(partner) over q's leaves; the deltas cancel
     globally because the pairing is an involution, so the best tree is never
@@ -447,32 +427,17 @@ def select_hard_subinstance(instance, meta, assignment):
     H = hypergraph(instance)
     for leaf in meta.tree_levels[p][-1]:
         keep |= H.ball(leaf, 2 * meta.r)
-    sub = restrict(instance, keep)
-    return sub, replace(meta, p=p, root=meta.tree_levels[p][0][0], delta=delta)
+    return restrict(instance, keep), p, delta
 
 
-def level_sums(meta, assignment):
-    """Total activity per level of the selected tree.
-
-    Works for assignments on the full instance or on the carved sub-instance;
-    both contain the selected tree.
-    """
-    if meta.p is None:
-        raise ValueError("no tree has been selected yet")
-    x = assignment.values
-    return [sum(x[v] for v in level) for level in meta.tree_levels[meta.p]]
-
-
-def parity_solution(sub_instance, meta):
-    """Activity 1 on agents an even number of hops from the selected root.
+def parity_solution(sub_instance, root):
+    """Activity 1 on agents an even number of hops from the selected tree's root.
 
     On the carved sub-instance the incidence structure is a tree, packing and
     benefit rows alternate along every root path, and this point meets every
     row with exactly one unit -- witnessing an optimum of one.
     """
-    if meta.root is None:
-        raise ValueError("no tree has been selected yet")
-    dist = hypergraph(sub_instance).distances_from(meta.root)
+    dist = hypergraph(sub_instance).distances_from(root)
     missing = set(sub_instance.agents) - set(dist)
     if missing:
         raise ArithmeticError(
@@ -485,46 +450,6 @@ def parity_solution(sub_instance, meta):
 
 # ---------------------------------------------------------------------------
 # The end-to-end adversarial driver.
-
-
-@dataclass
-class AdversaryReport:
-    params: dict
-    delta_sum: float
-    delta_max: float
-    p: int
-    identical_choices: bool
-    omega_alg_full: float
-    omega_alg_sub: float
-    certified_ratio: float | None
-    parity_omega: float
-    parity_feasible: bool
-    parity_rows_exact: bool
-    level_sums: list
-    level_caps: list
-    level_inequalities_ok: bool
-    theoretical_floor: float
-
-    def to_dict(self):
-        return {
-            "params": self.params,
-            "delta": {"sum": self.delta_sum, "max": self.delta_max, "p": self.p},
-            "identical_choices": self.identical_choices,
-            "omega_alg_full": self.omega_alg_full,
-            "omega_alg_sub": self.omega_alg_sub,
-            "certified_ratio": (
-                "unbounded" if self.certified_ratio is None else self.certified_ratio
-            ),
-            "parity": {
-                "omega": self.parity_omega,
-                "feasible": self.parity_feasible,
-                "rows_exact": self.parity_rows_exact,
-            },
-            "level_sums": self.level_sums,
-            "level_caps": self.level_caps,
-            "level_inequalities_ok": self.level_inequalities_ok,
-            "theoretical_floor": self.theoretical_floor,
-        }
 
 
 def theoretical_ratio_floor(d, D):
@@ -552,11 +477,10 @@ def _parity_rows_exact(sub_instance, parity, D):
     return True
 
 
-def adversarial_lower_bound(
-    algorithm, d, D, r, R, seed, n_per_side=None, node_cap=DEFAULT_NODE_CAP
-):
+def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
     """Run the whole attack and certify a ratio lower bound for ``algorithm``.
 
+    Returns the report that ``adversary`` writes, as a JSON-ready dict.
     Refuses algorithms whose horizon exceeds r: the construction only
     guarantees indistinguishability up to radius r.  The certified ratio is
     1 / omega_alg(sub) because the parity point witnesses an optimum of one
@@ -568,11 +492,9 @@ def adversarial_lower_bound(
             f"algorithm {algorithm.name!r} has horizon {algorithm.horizon}, "
             f"which exceeds the attack radius {r}"
         )
-    full, meta = build_adversarial_instance(
-        d, D, r, R, seed, n_per_side=n_per_side, node_cap=node_cap
-    )
+    full, meta = build_adversarial_instance(d, D, r, R, seed, n_per_side=n_per_side)
     x_full = run_local(full, algorithm)
-    sub, meta = select_hard_subinstance(full, meta, x_full)
+    sub, p, delta = select_hard_subinstance(full, meta, x_full)
     try:
         x_sub = run_local(sub, algorithm)
     except InvalidInstanceError as exc:
@@ -580,23 +502,16 @@ def adversarial_lower_bound(
             "carved sub-instance failed validation: " + "; ".join(exc.violations[:5])
         ) from exc
 
-    selected_tree = meta.tree_agents(meta.p)
-    identical = all(x_full.values[v] == x_sub.values[v] for v in selected_tree)
-    if not identical:
+    if any(x_full.values[v] != x_sub.values[v] for v in meta.tree_agents(p)):
         raise ArithmeticError(
             "outputs on the selected tree differ between the full and carved runs; "
             "views at the registered horizon should have been identical"
         )
 
-    omega_full = objective(full, x_full)
     omega_sub = objective(sub, x_sub)
+    parity = parity_solution(sub, meta.tree_levels[p][0][0])
 
-    parity = parity_solution(sub, meta)
-    parity_feasible, _ = feasibility(sub, parity)
-    parity_rows = _parity_rows_exact(sub, parity, D)
-    parity_omega = objective(sub, parity)
-
-    sums = level_sums(meta, x_sub)
+    sums = [sum(x_sub.values[v] for v in level) for level in meta.tree_levels[p]]
     # consecutive level pairs share the packing rows between them, so their
     # joint activity is capped by the count of those rows
     caps = [float((d * D) ** j) for j in range(len(sums) // 2)]
@@ -604,8 +519,6 @@ def adversarial_lower_bound(
         sums[2 * j] + sums[2 * j + 1] <= caps[j] + LEVEL_SUM_TOL
         for j in range(len(sums) // 2)
     )
-
-    certified = None if omega_sub <= 0.0 else 1.0 / omega_sub
 
     params = {
         "algorithm": algorithm.name,
@@ -622,20 +535,20 @@ def adversarial_lower_bound(
         "beneficiaries": len(full.beneficiaries),
         "sub_agents": len(sub.agents),
     }
-    return AdversaryReport(
-        params=params,
-        delta_sum=sum(meta.delta.values()),
-        delta_max=max(meta.delta.values()),
-        p=meta.p,
-        identical_choices=identical,
-        omega_alg_full=omega_full,
-        omega_alg_sub=omega_sub,
-        certified_ratio=certified,
-        parity_omega=parity_omega,
-        parity_feasible=parity_feasible,
-        parity_rows_exact=parity_rows,
-        level_sums=sums,
-        level_caps=caps,
-        level_inequalities_ok=pair_ok,
-        theoretical_floor=theoretical_ratio_floor(d, D),
-    )
+    return {
+        "params": params,
+        "delta": {"sum": sum(delta.values()), "max": max(delta.values()), "p": p},
+        "identical_choices": True,
+        "omega_alg_full": objective(full, x_full),
+        "omega_alg_sub": omega_sub,
+        "certified_ratio": "unbounded" if omega_sub <= 0.0 else 1.0 / omega_sub,
+        "parity": {
+            "omega": objective(sub, parity),
+            "feasible": feasibility(sub, parity)[0],
+            "rows_exact": _parity_rows_exact(sub, parity, D),
+        },
+        "level_sums": sums,
+        "level_caps": caps,
+        "level_inequalities_ok": pair_ok,
+        "theoretical_floor": theoretical_ratio_floor(d, D),
+    }

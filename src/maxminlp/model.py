@@ -169,9 +169,10 @@ def _integer_id(value, what):
     return value
 
 
-def _by_agent(mapping, where):
+def _by_agent(mapping, where, parse_text=False):
     """``{int(key): float(value)}``, refusing two keys that name one agent
-    and a boolean value."""
+    and a boolean value.  A string value such as ``"NaN"`` is parsed only
+    with ``parse_text``; otherwise it is refused as well."""
     out = {}
     keys = {}
     for key, value in mapping.items():
@@ -180,7 +181,7 @@ def _by_agent(mapping, where):
             raise ValueError(
                 f"{where}: keys {keys[v]!r} and {key!r} both name agent {v}"
             )
-        if isinstance(value, bool):
+        if isinstance(value, bool) or (isinstance(value, str) and not parse_text):
             raise ValueError(f"{where}: {value!r} for agent {v} is not a number")
         keys[v] = key
         out[v] = float(value)
@@ -203,8 +204,8 @@ def instance_from_dict(payload):
     Two rows of one kind with the same id, or two coefficient keys that parse
     to the same agent (``"0"`` and ``"00"``), are rejected rather than letting
     the last one win.  An agent or row id must be a JSON integer and a
-    coefficient must not be a boolean, so no id is truncated and no boolean
-    is read as 1 or 0.
+    coefficient a JSON number, so no id is truncated, no boolean is read as
+    1 or 0 and no string such as ``"2"`` is read as a number.
     """
     try:
         agents = tuple(_integer_id(v, "agent") for v in payload["agents"])
@@ -261,7 +262,7 @@ def assignment_to_dict(assignment):
 
 def assignment_from_dict(payload):
     try:
-        values = _by_agent(payload["values"], "values")
+        values = _by_agent(payload["values"], "values", parse_text=True)
         for v, x in values.items():
             if not math.isfinite(x):
                 raise ValueError(f"agent {v} has the non-finite value {x!r}")

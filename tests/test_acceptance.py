@@ -108,24 +108,24 @@ def test_criterion_5_adversarial_structural_suite():
     algorithm = SafeAlgorithm()
     full, meta = build_adversarial_instance(d, D, r, R, seed=0)
     x_full = run_local(full, algorithm)
-    sub, sel = select_hard_subinstance(full, meta, x_full)
+    sub, p, delta = select_hard_subinstance(full, meta, x_full)
+    levels = meta.tree_levels[p]
 
-    assert abs(sum(sel.delta.values())) <= 1e-9
+    assert abs(sum(delta.values())) <= 1e-9
     assert oracles.incidence_is_forest(sub)
 
-    parity = parity_solution(sub, sel)
+    parity = parity_solution(sub, levels[0][0])
     feasible, _ = feasibility(sub, parity, tol=0.0)
     assert feasible
     for row in list(sub.resources.values()) + list(sub.beneficiaries.values()):
         assert sum(coeff * parity.values[v] for v, coeff in row.items()) == 1.0
 
-    tree = sel.tree_agents(sel.p)
     x_sub = run_local(sub, algorithm)
-    for v in tree:
+    for v in meta.tree_agents(p):
         assert extract_view(full, v, r) == extract_view(sub, v, r)
         assert x_full.values[v] == x_sub.values[v]
 
-    sums = [sum(x_sub.values[v] for v in level) for level in sel.tree_levels[sel.p]]
+    sums = [sum(x_sub.values[v] for v in level) for level in levels]
     assert len(sums) == 2 * R
     for j in range(R):
         assert sums[2 * j] + sums[2 * j + 1] <= (d * D) ** j + 1e-9

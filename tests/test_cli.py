@@ -209,6 +209,20 @@ def test_adversary_rejects_farsighted_algorithm(tmp_path):
     assert "exceeds the attack radius" in proc.stderr
 
 
+def test_adversary_refuses_a_narrow_template_promptly(tmp_path):
+    # a quarter of the default width of 800: the attempt budget runs out in
+    # about a second instead of minutes
+    out = tmp_path / "adv.json"
+    t0 = time.monotonic()
+    proc = cli("adversary", "--algorithm", "safe", "-d", "2", "-D", "2",
+               "-r", "1", "-R", "2", "--n-per-side", "200", "-o", str(out))
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 1
+    assert "found in 100 attempts; try a larger n_per_side" in proc.stderr
+    assert not out.exists()
+    assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
+
+
 def test_adversary_refuses_a_radius_the_rule_does_not_use(tmp_path):
     out = tmp_path / "adv.json"
     proc = cli("adversary", "--algorithm", "safe", "--radius", "1",
@@ -276,7 +290,9 @@ def test_malformed_instance_file_fails_cleanly(tmp_path, capsys):
     x = tmp_path / "x.json"
     x.write_text('{"values": {"0": 0.5, "1": 0.25}}')
     cases = [
-        (_two_agents(resource={"0": "NaN", "1": 1.0}),
+        # json.dumps writes the bare NaN token; the string "NaN" is refused
+        # on load, before validation
+        (_two_agents(resource={"0": float("nan"), "1": 1.0}),
          "resource 0: non-finite coefficient for agent 0"),
         (_two_agents(agents=(0, 0, 1)), "agent 0: duplicate id"),
         (_two_agents(resource={"0": 1.0, "1": -1.0}),

@@ -120,7 +120,29 @@ def test_evaluate_names_a_negative_objective():
     report = evaluate(pair(), Assignment({0: -0.2, 1: 0.2}))
     assert report.omega == pytest.approx(-0.4)
     assert report.ratio == math.inf
-    assert report.notes == ("achieved objective is negative: ratio unbounded",)
+    assert report.notes == (
+        "negative activity: agent 0 has -0.2",
+        "achieved objective is negative: ratio unbounded",
+    )
+
+
+def test_evaluate_names_the_lowest_negative_activity():
+    # max_violation covers rows only: every row has slack here, so the
+    # figure alone never says why the assignment is infeasible
+    torus = gen_torus(TorusParams(dim=1, side=4))
+    x = dict.fromkeys(torus.agents, 0.0)
+    first, second, third = torus.agents[:3]
+    x[first], x[second], x[third] = -0.1, -0.4, -0.4
+    report = evaluate(torus, Assignment(x), oracle_cap=0)
+    assert not report.feasible
+    assert report.max_violation < 0
+    assert report.notes[0] == f"negative activity: agent {second} has -0.4"
+    # within the feasibility tolerance there is nothing to name
+    x = dict.fromkeys(torus.agents, 0.0)
+    x[first] = -1e-12
+    report = evaluate(torus, Assignment(x), oracle_cap=0)
+    assert report.feasible
+    assert not any(note.startswith("negative activity") for note in report.notes)
 
 
 def test_evaluate_rejects_nonpositive_radius(monkeypatch):

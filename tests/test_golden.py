@@ -9,7 +9,9 @@ was re-recorded once, when the simplex took Dantzig pricing and periodic
 rebuilds: its ball-LP optima moved by at most 1.6e-15, and its stdout did
 not change. The ``gen-random``, ``solve``, ``eval`` and ``growth`` digests,
 which pin the ``config`` each command embeds, were recorded from the code
-before those configs were derived from the parsed arguments.
+before those configs were derived from the parsed arguments. The
+``adversary-zero`` and ``adversary-local-avg`` digests were recorded from
+the code before the attack became one pass without a two-phase meta.
 """
 import hashlib
 
@@ -48,6 +50,19 @@ CASES = {
         ("adversary", "--algorithm", "safe", *WIDE_TREE), "adv21.json",
         "b03c2eee26d7967249041cad964180fd96d99e8458113f975cc74d83f12b7329",
         "9f02b4905204546a2956bae4a9ca091bfc1dc827313bfb61e6a8e29e0d09df93",
+    ),
+    # the algorithm earns nothing, so the ratio is written as "unbounded"
+    "adversary-zero": (
+        ("adversary", "--algorithm", "zero", *SMALL_TREE), "adv0.json",
+        "284fc775d595eb8c55667afbeb9a3e0c9490348558286c8e3dd849e754fad572",
+        "8d236ba7d6054c817442583cad28ad905b28fb2785557344a9674847f01e5ead",
+    ),
+    # the paper's own rule: horizon 2R + 1 = 3 needs r = 3, so d = D = 1
+    "adversary-local-avg": (
+        ("adversary", "--algorithm", "local-avg", "--radius", "1",
+         "-d", "1", "-D", "1", "-r", "3", "-R", "4", "--seed", "0"), "advavg.json",
+        "429da6996331d04407470d884d6bae57b190a010f340c658cb46e4b22408dc9e",
+        "329fc1aeeac867bb2e445ec33e8a3967d13887ab378da474acb87c14d87e15a4",
     ),
     "gen-lowerbound-wide": (
         ("gen-lowerbound", *WIDE_TREE), "lb21.json",

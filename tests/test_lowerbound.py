@@ -29,8 +29,8 @@ from maxminlp.model import Assignment, Instance, restrict, validate
 
 def test_hypertree_levels_alternate_arity():
     t = build_hypertree(2, 1, 3)
+    assert t.levels[0] == [0]
     assert [len(level) for level in t.levels] == [1, 2, 2, 4]
-    assert t.root == 0
     assert t.leaves == [5, 6, 7, 8]
     kinds = [kind for kind, _ in t.edges]
     assert kinds == ["I", "II", "II", "I", "I"]
@@ -42,7 +42,7 @@ def test_hypertree_levels_alternate_arity():
 
 def test_hypertree_ids_offset_cleanly():
     t = build_hypertree(2, 3, 3, first_id=100)
-    assert t.root == 100
+    assert t.levels[0] == [100]
     nodes = [v for level in t.levels for v in level]
     assert len(nodes) == hypertree_node_count(2, 3, 3)
     assert min(nodes) == 100
@@ -55,8 +55,11 @@ def test_hypertree_node_count_formula():
 
 
 def test_hypertree_respects_node_cap():
-    with pytest.raises(SizeCapError):
-        build_hypertree(2, 3, 5, node_cap=100)
+    # the count is checked before any node is built
+    assert hypertree_node_count(2, 3, 13) <= lowerbound.NODE_CAP
+    assert hypertree_node_count(2, 3, 14) > lowerbound.NODE_CAP
+    with pytest.raises(SizeCapError, match="447897 nodes"):
+        build_hypertree(2, 3, 14)
 
 
 def test_hypertree_argument_validation():
@@ -298,7 +301,7 @@ def test_leaf_pairing_is_a_cross_tree_involution():
         for v in meta.tree_agents(q):
             tree_of[v] = q
     pairing = meta.leaf_pair
-    assert len(pairing) == 2 * len(meta.type3_edges)
+    assert len(pairing) == 2 * len(meta.template.edges)
     for v, w in pairing.items():
         assert v != w
         assert pairing[w] == v
@@ -307,14 +310,18 @@ def test_leaf_pairing_is_a_cross_tree_involution():
             (tree_of[v], tree_of[w]) in meta.template.edges
             or (tree_of[w], tree_of[v]) in meta.template.edges
         )
-    # every type III row is a pair with unit coefficients
-    for a, b in meta.type3_edges:
-        assert pairing[a] == b
+    # every leaf pair is a type III row with unit coefficients
+    unit_pairs = {
+        frozenset(row) for row in inst.beneficiaries.values()
+        if len(row) == 2 and set(row.values()) == {1.0}
+    }
+    assert {frozenset(pair) for pair in pairing.items()} <= unit_pairs
 
 
 def test_benefit_coefficients_by_kind():
     inst, meta = build_adversarial_instance(1, 3, 1, 2, seed=0)
-    type3 = {frozenset(pair) for pair in meta.type3_edges}
+    type3 = {frozenset(pair) for pair in meta.leaf_pair.items()}
+    assert len(type3) == len(meta.template.edges)
     for row in inst.beneficiaries.values():
         if frozenset(row) in type3:
             assert set(row.values()) == {1.0}
@@ -327,17 +334,19 @@ def test_adversarial_argument_validation():
     for bad in [(0, 1, 1, 2), (2, 0, 1, 2), (2, 1, 0, 2), (2, 1, 1, 1), (2, 1, 2, 2)]:
         with pytest.raises(ValueError):
             build_adversarial_instance(*bad, seed=0)
-    with pytest.raises(SizeCapError):
-        build_adversarial_instance(2, 1, 1, 2, seed=0, node_cap=100)
+    # trees of 6,481 nodes on a template of degree 729: checked before the
+    # template is searched for
+    with pytest.raises(SizeCapError, match="above the cap of 200000"):
+        build_adversarial_instance(3, 3, 1, 3, seed=0)
 
 
 def test_selection_breaks_ties_toward_the_lowest_tree():
     inst, meta = built()
     zero = Assignment({v: 0.0 for v in inst.agents})
-    sub, after = select_hard_subinstance(inst, meta, zero)
-    assert after.p == 0
-    assert after.root == meta.tree_levels[0][0][0]
-    assert set(after.delta.values()) == {0.0}
+    sub, p, delta = select_hard_subinstance(inst, meta, zero)
+    assert p == 0
+    assert set(delta) == set(meta.template.vertices)
+    assert set(delta.values()) == {0.0}
     assert set(meta.tree_agents(0)) <= set(sub.agents)
     assert validate(sub) == ()
     assert oracles.incidence_is_forest(sub)
@@ -348,15 +357,15 @@ def test_selection_follows_the_advantaged_tree():
     x = {v: 0.0 for v in inst.agents}
     lucky_leaf = meta.tree_levels[7][-1][0]
     x[lucky_leaf] = 0.5
-    sub, after = select_hard_subinstance(inst, meta, Assignment(x))
-    assert after.p == 7
-    assert after.delta[7] == 0.5
+    sub, p, delta = select_hard_subinstance(inst, meta, Assignment(x))
+    assert p == 7
+    assert delta[7] == 0.5
     # the partner's tree is the mirror loser
     partner_tree = next(
         q for q in meta.template.vertices
         if meta.leaf_pair[lucky_leaf] in meta.tree_agents(q)
     )
-    assert after.delta[partner_tree] == -0.5
+    assert delta[partner_tree] == -0.5
 
 
 def test_selection_rejects_uncancelled_deltas():
@@ -371,10 +380,10 @@ def test_selection_rejects_uncancelled_deltas():
 
 def test_parity_solution_saturates_every_row():
     inst, meta = built()
-    sub, after = select_hard_subinstance(
+    sub, p, _ = select_hard_subinstance(
         inst, meta, Assignment({v: 0.0 for v in inst.agents})
     )
-    parity = parity_solution(sub, after)
+    parity = parity_solution(sub, meta.tree_levels[p][0][0])
     assert set(parity.values.values()) <= {0.0, 1.0}
     for row in list(sub.resources.values()) + list(sub.beneficiaries.values()):
         assert sum(c * parity.values[v] for v, c in row.items()) == 1.0
@@ -383,19 +392,13 @@ def test_parity_solution_saturates_every_row():
     assert objective(sub, parity) == 1.0
 
 
-def test_parity_needs_a_selection():
-    inst, meta = built()
-    with pytest.raises(ValueError):
-        parity_solution(inst, meta)
-
-
 @pytest.mark.parametrize("alg_name", ["zero", "safe"])
 def test_views_inside_the_kept_tree_are_unchanged(alg_name):
     inst, meta = built()
     algorithm = make_algorithm(alg_name)
     full = run_local(inst, algorithm)
-    sub, after = select_hard_subinstance(inst, meta, full)
-    for v in after.tree_agents(after.p):
+    sub, p, _ = select_hard_subinstance(inst, meta, full)
+    for v in meta.tree_agents(p):
         assert extract_view(inst, v, meta.r) == extract_view(sub, v, meta.r)
 
 
@@ -407,26 +410,24 @@ def test_floor_values():
 
 def test_full_attack_on_the_safe_algorithm():
     report = adversarial_lower_bound(make_algorithm("safe"), 2, 1, 1, 2, seed=0)
-    assert report.identical_choices
-    assert abs(report.delta_sum) <= 1e-9
-    assert report.parity_feasible
-    assert report.parity_rows_exact
-    assert report.level_inequalities_ok
-    assert report.certified_ratio == pytest.approx(1.0 / report.omega_alg_sub)
-    assert report.certified_ratio >= report.theoretical_floor - 1e-9
-    sums = report.level_sums
+    assert report["identical_choices"]
+    assert abs(report["delta"]["sum"]) <= 1e-9
+    assert report["parity"]["feasible"]
+    assert report["parity"]["rows_exact"]
+    assert report["level_inequalities_ok"]
+    assert report["certified_ratio"] == pytest.approx(1.0 / report["omega_alg_sub"])
+    assert report["certified_ratio"] >= report["theoretical_floor"] - 1e-9
+    sums = report["level_sums"]
     assert len(sums) == 4
-    for j, cap in enumerate(report.level_caps):
+    for j, cap in enumerate(report["level_caps"]):
         assert sums[2 * j] + sums[2 * j + 1] <= cap + 1e-9
-    assert report.to_dict()["certified_ratio"] == report.certified_ratio
 
 
 def test_full_attack_on_the_zero_algorithm():
     report = adversarial_lower_bound(make_algorithm("zero"), 2, 1, 1, 2, seed=0)
-    assert report.omega_alg_sub == 0.0
-    assert report.certified_ratio is None
-    assert report.to_dict()["certified_ratio"] == "unbounded"
-    assert report.parity_feasible and report.parity_rows_exact
+    assert report["omega_alg_sub"] == 0.0
+    assert report["certified_ratio"] == "unbounded"
+    assert report["parity"]["feasible"] and report["parity"]["rows_exact"]
 
 
 def test_attack_validates_each_instance_once(monkeypatch):
@@ -438,7 +439,7 @@ def test_attack_validates_each_instance_once(monkeypatch):
 
     monkeypatch.setattr(algorithms, "validate", counting)
     report = adversarial_lower_bound(make_algorithm("safe"), 2, 1, 1, 2, seed=0)
-    assert checked == [report.params["agents"], report.params["sub_agents"]]
+    assert checked == [report["params"]["agents"], report["params"]["sub_agents"]]
 
 
 def test_attack_reports_an_invalid_carve(monkeypatch):
@@ -464,10 +465,10 @@ def test_attack_with_wide_benefit_rows():
     # D = 3 puts thirds in the benefit rows; the parity audit then runs at
     # 1e-12 rather than demanding bit equality
     report = adversarial_lower_bound(make_algorithm("safe"), 1, 3, 1, 2, seed=0)
-    assert report.parity_feasible
-    assert report.parity_rows_exact
-    assert report.level_inequalities_ok
-    assert report.certified_ratio >= report.theoretical_floor - 1e-9
+    assert report["parity"]["feasible"]
+    assert report["parity"]["rows_exact"]
+    assert report["level_inequalities_ok"]
+    assert report["certified_ratio"] >= report["theoretical_floor"] - 1e-9
 
 
 def test_ratio_floor_never_undercuts_observed_attacks():
@@ -475,4 +476,4 @@ def test_ratio_floor_never_undercuts_observed_attacks():
     # for a few small parameter choices
     for d, D in [(1, 1), (2, 1), (1, 3)]:
         report = adversarial_lower_bound(make_algorithm("safe"), d, D, 1, 2, seed=1)
-        assert report.certified_ratio >= theoretical_ratio_floor(d, D) - 1e-9
+        assert report["certified_ratio"] >= theoretical_ratio_floor(d, D) - 1e-9

@@ -148,7 +148,8 @@ def two_agents(resources=None, beneficiaries=None):
     }
 
 
-# ids and coefficients that int() or float() would have truncated or coerced
+# ids and coefficients that int() or float() would have truncated or coerced,
+# strings that float() would have parsed among them
 COERCED = [
     ({**two_agents(), "agents": [0, 1.9]}, "agent 1.9 is not an integer"),
     ({**two_agents(), "agents": [0, True]}, "agent True is not an integer"),
@@ -158,6 +159,10 @@ COERCED = [
      "beneficiary id False is not an integer"),
     (two_agents(resources=[{"id": 0, "coeffs": {"0": 1.0, "1": True}}]),
      "resource 0: True for agent 1 is not a number"),
+    (two_agents(resources=[{"id": 3, "coeffs": {"0": 1.0, "1": "2"}}]),
+     "resource 3: '2' for agent 1 is not a number"),
+    (two_agents(beneficiaries=[{"id": 5, "coeffs": {"0": "1e0"}}]),
+     "beneficiary 5: '1e0' for agent 0 is not a number"),
 ]
 
 
