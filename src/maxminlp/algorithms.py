@@ -149,7 +149,9 @@ def local_lp_solution(view, u, R, ball=None):
     memo = _BALL_LP_MEMO.get()
     if memo is None:
         memo = {}
-    if sub not in memo:
+    # one look-up hashes the key once; tuples do not cache their hash
+    values = memo.get(sub)
+    if values is None:
         from .lp import solve_maxmin
 
         rows = ({rid: dict(row) for rid, row in kind} for kind in (resources, beneficiaries))
@@ -160,9 +162,9 @@ def local_lp_solution(view, u, R, ball=None):
                 f"agent {view.center}: LP of the ball around u={u} with R={R} "
                 f"({len(ball)} agents) failed: {exc}"
             ) from exc
-        memo[sub] = assignment.values
+        values = memo[sub] = assignment.values
     # a copy, so a caller that edits its result cannot alter later hits
-    return dict(memo[sub])
+    return dict(values)
 
 
 class LocalAveraging(LocalAlgorithm):

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every file written embeds the configuration that produced it, and all JSON
-goes through one canonical writer, so rerunning a command reproduces its
+is written in one canonical form, so rerunning a command reproduces its
 outputs byte for byte.  That configuration is the parsed arguments minus
 the input and output paths, plus the values a command works out itself;
 moving an instance file around must not change what gets computed from it.

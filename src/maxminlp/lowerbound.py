@@ -23,6 +23,8 @@ from .algorithms import run_local
 NODE_CAP = 200_000
 DELTA_CANCEL_TOL = 1e-9
 LEVEL_SUM_TOL = 1e-9
+# restarts of the template greedy before a width is refused as too narrow
+TEMPLATE_ATTEMPTS = 100
 
 
 class SizeCapError(ValueError):
@@ -224,7 +226,7 @@ class _PartialTemplate:
         return seen
 
 
-def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=100):
+def build_regular_bipartite(degree, min_girth, n_per_side, seed):
     """Seeded randomized greedy: add ``degree`` perfect matchings edge by
     edge, never joining two vertices closer than min_girth - 1 in the graph
     built so far, restarting from scratch whenever a matching gets stuck.
@@ -239,7 +241,8 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=10
     Raises TemplateGenerationError with advice once the attempt budget runs
     out; for a fixed seed the accepted graph (and hence everything built on
     it) is deterministic.  At the default width a few restarts suffice, so
-    the budget of 100 refuses a width that is too narrow within seconds.
+    the budget of TEMPLATE_ATTEMPTS refuses a width that is too narrow
+    within seconds.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -251,7 +254,7 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=10
     rng = random.Random(seed)
     window = min_girth - 2
     lefts = list(range(n_per_side))
-    for _ in range(max_attempts):
+    for _ in range(TEMPLATE_ATTEMPTS):
         graph = _PartialTemplate(n_per_side)
         stuck = False
         for _ in range(degree):
@@ -287,7 +290,7 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts=10
         )
     raise TemplateGenerationError(
         f"no {degree}-regular bipartite graph of girth >= {min_girth} found in "
-        f"{max_attempts} attempts; try a larger n_per_side"
+        f"{TEMPLATE_ATTEMPTS} attempts; try a larger n_per_side"
     )
 
 

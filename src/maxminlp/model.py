@@ -145,21 +145,8 @@ class Assignment:
 # JSON interchange.  The on-disk shape is fixed: top-level keys "agents",
 # "resources", "beneficiaries"; rows are {"id": int, "coeffs": {str: number}}.
 # Readers ignore extra top-level keys, so embedded run configuration survives
-# round trips.
-
-def instance_to_dict(instance):
-    def rows(mapping):
-        return [
-            {"id": rid, "coeffs": {str(v): float(c) for v, c in row.items()}}
-            for rid, row in mapping.items()
-        ]
-
-    return {
-        "agents": list(instance.agents),
-        "resources": rows(instance.resources),
-        "beneficiaries": rows(instance.beneficiaries),
-    }
-
+# round trips.  Every file is written as json.dumps(payload, indent=2,
+# sort_keys=True) spells it, plus a trailing newline.
 
 def _integer_id(value, what):
     """``value`` itself when it is an integer; anything else, a float or a
@@ -199,7 +186,7 @@ def _rows_from_list(entries, kind):
 
 
 def instance_from_dict(payload):
-    """Inverse of :func:`instance_to_dict`.
+    """The instance a parsed instance file holds (see :func:`save_instance`).
 
     Two rows of one kind with the same id, or two coefficient keys that parse
     to the same agent (``"0"`` and ``"00"``), are rejected rather than letting
@@ -240,11 +227,51 @@ def load_json(path):
     return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
 
 
+def _rows_text(mapping):
+    """A row list as it sits one level down in an indented, key-sorted dump:
+    ``{"coeffs": {...}, "id": n}``, with the agent keys in string order
+    (``"10"`` before ``"9"``) and each coefficient passed through ``float``."""
+    if not mapping:
+        return "[]"
+    rows = []
+    for rid, row in mapping.items():
+        # the closing quote sorts below every digit and "-", so sorting the
+        # entries sorts them by key
+        entries = sorted([f'"{v}": {float(c)!r}' for v, c in row.items()])
+        coeffs = ",\n        ".join(entries)
+        if "n" in coeffs:
+            # only nan, inf and -inf hold an n; json spells them its own way
+            coeffs = (
+                coeffs.replace(": nan", ": NaN")
+                .replace(": inf", ": Infinity")
+                .replace(": -inf", ": -Infinity")
+            )
+        coeffs = "{\n        " + coeffs + "\n      }" if entries else "{}"
+        rows.append('{\n      "coeffs": %s,\n      "id": %s\n    }' % (coeffs, rid))
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
 def save_instance(instance, path, extra=None):
-    payload = instance_to_dict(instance)
-    if extra:
-        payload.update(extra)
-    dump_json(payload, path)
+    """Write ``instance`` with the top-level keys of ``extra`` added, which
+    win a clash, in the bytes :func:`dump_json` writes for that payload.
+
+    The text is rendered straight from the canonical instance: ``json.dumps``
+    with ``indent`` set runs its pure-Python encoder over every coefficient,
+    which cost more than building the largest generated instances.  Values
+    of ``extra`` still go through ``json.dumps``.
+    """
+    agents = ",\n    ".join(map(str, instance.agents))
+    sections = {
+        "agents": "[\n    " + agents + "\n  ]" if instance.agents else "[]",
+        "beneficiaries": _rows_text(instance.beneficiaries),
+        "resources": _rows_text(instance.resources),
+    }
+    for key, value in (extra or {}).items():
+        text = json.dumps(value, indent=2, sort_keys=True)
+        # json escapes newlines inside strings, so every newline is layout
+        sections[key] = text.replace("\n", "\n  ")
+    body = ",\n  ".join(f"{json.dumps(key)}: {sections[key]}" for key in sorted(sections))
+    Path(path).write_text("{\n  " + body + "\n}\n")
 
 
 def load_instance(path):

@@ -5,8 +5,9 @@ code with the package, so a package bug cannot vouch for itself.  The grid
 search enumerates feasible lattice points outright, the LP reference is
 scipy's HiGHS, the graph quantities (balls, growth factors and the ball
 statistics of the averaging guarantee) are recomputed with plain set
-expansion, the degree maxima are counted off the rows, and the forest check
-on the incidence graph is networkx's.
+expansion, the degree maxima are counted off the rows, the forest check
+on the incidence graph is networkx's, and the payload of an instance file
+is built as plain dictionaries for ``json.dumps`` to spell.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,21 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+
+
+def instance_to_dict(instance):
+    """The payload an instance file holds, ready for ``json.dumps``."""
+    def rows(mapping):
+        return [
+            {"id": rid, "coeffs": {str(v): float(c) for v, c in row.items()}}
+            for rid, row in mapping.items()
+        ]
+
+    return {
+        "agents": list(instance.agents),
+        "resources": rows(instance.resources),
+        "beneficiaries": rows(instance.beneficiaries),
+    }
 
 
 def row_adjacency(instance):

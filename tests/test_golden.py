@@ -12,6 +12,8 @@ which pin the ``config`` each command embeds, were recorded from the code
 before those configs were derived from the parsed arguments. The
 ``adversary-zero`` and ``adversary-local-avg`` digests were recorded from
 the code before the attack became one pass without a two-phase meta.
+The ``gen-lowerbound-bench`` digests were recorded from the code before
+instance files were rendered as text instead of through ``json.dumps``.
 """
 import hashlib
 
@@ -23,6 +25,8 @@ TORUS = ("gen-torus", "--dim", "2", "--side", "6", "--perturb", "--seed", "0")
 SMALL_TREE = ("-d", "1", "-D", "1", "-r", "1", "-R", "2", "--seed", "0")
 # degree-4 template of girth 6, so edge pairing order matters
 WIDE_TREE = ("-d", "2", "-D", "1", "-r", "1", "-R", "2", "--seed", "0")
+# the adversary-safe benchmark's instance: 24,000 agents in a 2.2-MB file
+BENCH_TREE = ("-d", "2", "-D", "2", "-r", "1", "-R", "2", "--seed", "0")
 
 # (argv after the input set-up, output file, sha256 of the file, sha256 of stdout)
 CASES = {
@@ -68,6 +72,11 @@ CASES = {
         ("gen-lowerbound", *WIDE_TREE), "lb21.json",
         "c353e55d2c216eff1458d0fccfa7789c831e295173dfbf0c56985969215662ec",
         "c283397d703b4a150d018f8a68803953ee70f875a634646a199def1e9ce4cc77",
+    ),
+    "gen-lowerbound-bench": (
+        ("gen-lowerbound", *BENCH_TREE), "lbbench.json",
+        "37270fc1e3a200ac9df894c899f11e130084666373d52976db77b6d640f0eb07",
+        "4624ac13726bddc9dbf4c3223e5276bf5bda5b50ccf9506e639aa3a800e8f2ca",
     ),
     "gen-random": (
         ("gen-random", "--agents", "30", "--seed", "4"), "rand.json",

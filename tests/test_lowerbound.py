@@ -231,12 +231,14 @@ def test_bits_index_the_set_positions_in_order(mask):
 )
 def test_template_draws_match_the_reference_greedy(degree, min_girth, extra, seed):
     n = degree + extra
-    want = oracles.reference_regular_bipartite(degree, min_girth, n, seed, max_attempts=5)
+    want = oracles.reference_regular_bipartite(
+        degree, min_girth, n, seed, max_attempts=lowerbound.TEMPLATE_ATTEMPTS
+    )
     if want is None:
         with pytest.raises(TemplateGenerationError):
-            build_regular_bipartite(degree, min_girth, n, seed, max_attempts=5)
+            build_regular_bipartite(degree, min_girth, n, seed)
         return
-    tpl = build_regular_bipartite(degree, min_girth, n, seed, max_attempts=5)
+    tpl = build_regular_bipartite(degree, min_girth, n, seed)
     assert list(tpl.edges) == want
     if len(set(want)) == len(want):
         assert tpl.girth == oracles.bipartite_girth(want)
@@ -256,7 +258,7 @@ def test_template_argument_validation():
 def test_template_reports_impossible_width():
     # K_{3,3} is the only 3-regular graph on 3+3 vertices and has girth 4
     with pytest.raises(TemplateGenerationError, match="larger n_per_side"):
-        build_regular_bipartite(3, 6, 3, seed=0, max_attempts=50)
+        build_regular_bipartite(3, 6, 3, seed=0)
 
 
 def test_default_width_grows_with_the_girth_window():

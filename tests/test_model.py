@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from maxminlp import algorithms
@@ -17,7 +17,6 @@ from maxminlp.model import (
     assignment_to_dict,
     dump_json,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     restrict,
     save_instance,
@@ -140,6 +139,45 @@ def test_instance_json_tolerates_extra_top_level_keys(tmp_path):
     assert load_instance(path) == inst
 
 
+# ids of 1 to 5 digits, so that string order ("10" < "9") is not numeric order
+IDS = st.integers(0, 99_999)
+# st.floats() draws NaN, both infinities and -0.0; save_instance does not validate
+COEFFS = st.one_of(st.floats(), st.integers(-(10**18), 10**18))
+ROWS = st.dictionaries(IDS, st.dictionaries(IDS, COEFFS, max_size=6), max_size=4)
+STRINGS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["é", "naïve ünïcode", 'say "hi"', "two\nlines", "back\\slash", "😀"]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([-0.0, 1e16]), STRINGS
+)
+CONFIGS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(STRINGS, inner, max_size=4)),
+    max_leaves=12,
+)
+# "agents" and "resources" as extra keys replace the instance's own sections
+EXTRAS = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.one_of(st.sampled_from(["config", "agents", "resources"]), STRINGS), CONFIGS, max_size=3
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(IDS, max_size=8), ROWS, ROWS, EXTRAS)
+@example([9, 10], {0: {9: 1.0, 10: 2}}, {}, None)
+@example([], {}, {3: {}}, {"config": {"seed": -0.0, "note": 'é"\n', "big": 1e16}})
+def test_save_instance_writes_what_json_dumps_writes(agents, resources, beneficiaries, extra):
+    inst = Instance(agents, resources, beneficiaries)
+    want = json.dumps(oracles.instance_to_dict(inst) | (extra or {}), indent=2, sort_keys=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "inst.json")
+        save_instance(inst, path, extra=extra)
+        assert path.read_text() == want + "\n"
+
+
 def two_agents(resources=None, beneficiaries=None):
     return {
         "agents": [0, 1],
@@ -189,7 +227,7 @@ def test_instance_from_dict_names_a_coerced_id_or_coefficient(payload, fragment)
 
 
 def test_instance_dict_shape():
-    payload = instance_to_dict(chain())
+    payload = oracles.instance_to_dict(chain())
     assert payload["agents"] == [0, 1, 2, 3]
     assert payload["resources"][0] == {"id": 0, "coeffs": {"0": 1.0, "1": 2.0}}
     assert instance_from_dict(payload) == chain()
@@ -238,7 +276,7 @@ def test_assignment_from_dict_keeps_negative_values():
 
 def test_load_instance_refuses_an_instance_that_fails_validation(tmp_path):
     path = tmp_path / "bad.json"
-    payload = instance_to_dict(chain())
+    payload = oracles.instance_to_dict(chain())
     payload["agents"].append(0)
     path.write_text(json.dumps(payload))
     with pytest.raises(InvalidInstanceError) as info:
