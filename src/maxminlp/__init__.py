@@ -7,27 +7,27 @@ weighted benefit across beneficiary rows.  Local algorithms must pick each
 agent's activity from a bounded-radius view of the shared structure.
 """
 
-from .algorithms import make_algorithm, run_local
-from .evaluation import evaluate
-from .generators import TorusParams, gen_torus
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "TorusParams",
-    "evaluate",
-    "gen_torus",
-    "make_algorithm",
-    "run_local",
-    "solve_maxmin",
-]
+# the layer that defines each public name; a layer loads when one of its
+# names is first looked up, so ``import maxminlp`` loads none of them, and
+# numpy comes in only with the simplex in ``lp``
+_LAYER_OF = {
+    "TorusParams": "generators",
+    "evaluate": "evaluation",
+    "gen_torus": "generators",
+    "make_algorithm": "algorithms",
+    "run_local": "algorithms",
+    "solve_maxmin": "lp",
+}
+
+__all__ = sorted(_LAYER_OF)
 
 
 def __getattr__(name):
-    # the simplex, and numpy with it, loads on first use: a command that
-    # solves no LP never imports it
-    if name == "solve_maxmin":
-        from .lp import solve_maxmin
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return solve_maxmin
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{layer}"), name)

@@ -6,8 +6,6 @@ so an implementation cannot accidentally read global structure.  The horizon
 is fixed per configuration; it never depends on the instance.
 """
 
-from __future__ import annotations
-
 import math
 from contextvars import ContextVar
 

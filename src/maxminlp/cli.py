@@ -10,25 +10,13 @@ Exit status: 0 on success, 1 on any domain error (bad input file,
 infeasible request, exhausted search), 2 on usage errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
 
-from .algorithms import make_algorithm, run_local
-from .evaluation import DEFAULT_ORACLE_CAP, evaluate, objective, write_reports_csv
-from .generators import TorusParams, gen_random, gen_torus
-from .hypergraph import growth_factor
-from .lowerbound import adversarial_lower_bound, build_adversarial_instance
-from .model import (
-    assignment_from_dict,
-    assignment_to_dict,
-    dump_json,
-    load_instance,
-    load_json,
-    save_instance,
-)
+# each command imports the layers it runs when it runs, so a command loads
+# neither the layers nor the standard-library modules of the others
+from .evaluation import DEFAULT_ORACLE_CAP
 
 # the handler and every input or output path stay out of the embedded config
 _NOT_CONFIG = frozenset({"func", "instance", "assignment", "output", "csv"})
@@ -42,6 +30,8 @@ def _config(args, **resolved):
 
 
 def _save_generated(instance, args, **resolved):
+    from .model import save_instance
+
     save_instance(instance, args.output, extra={"config": _config(args, **resolved)})
     print(
         f"wrote {args.output} ({len(instance.agents)} agents, "
@@ -51,12 +41,16 @@ def _save_generated(instance, args, **resolved):
 
 
 def _cmd_gen_torus(args):
+    from .generators import TorusParams, gen_torus
+
     params = TorusParams(dim=args.dim, side=args.side, perturb=args.perturb, seed=args.seed)
     _save_generated(gen_torus(params), args)
     return 0
 
 
 def _cmd_gen_random(args):
+    from .generators import gen_random
+
     instance = gen_random(
         args.agents,
         args.max_support,
@@ -68,6 +62,8 @@ def _cmd_gen_random(args):
 
 
 def _cmd_gen_lowerbound(args):
+    from .lowerbound import build_adversarial_instance
+
     instance, meta = build_adversarial_instance(
         args.d, args.D, args.r, args.R, args.seed, n_per_side=args.n_per_side
     )
@@ -80,6 +76,7 @@ def _cmd_gen_lowerbound(args):
 
 def _cmd_solve(args):
     from .lp import solve_maxmin
+    from .model import assignment_to_dict, dump_json, load_instance
 
     instance = load_instance(args.instance)
     assignment, omega = solve_maxmin(instance)
@@ -92,6 +89,10 @@ def _cmd_solve(args):
 
 
 def _cmd_run(args):
+    from .algorithms import make_algorithm, run_local
+    from .evaluation import objective
+    from .model import assignment_to_dict, dump_json, load_instance
+
     instance = load_instance(args.instance)
     algorithm = make_algorithm(args.algorithm, args.radius)
     assignment = run_local(instance, algorithm)
@@ -107,6 +108,10 @@ def _cmd_run(args):
 
 
 def _cmd_adversary(args):
+    from .algorithms import make_algorithm
+    from .lowerbound import adversarial_lower_bound
+    from .model import dump_json
+
     algorithm = make_algorithm(args.algorithm, args.radius)
     report = adversarial_lower_bound(
         algorithm, args.d, args.D, args.r, args.R, args.seed, n_per_side=args.n_per_side
@@ -127,6 +132,9 @@ def _cmd_adversary(args):
 
 
 def _cmd_eval(args):
+    from .evaluation import evaluate, write_reports_csv
+    from .model import assignment_from_dict, dump_json, load_instance, load_json
+
     instance = load_instance(args.instance)
     payload = load_json(args.assignment)
     assignment = assignment_from_dict(payload)
@@ -151,6 +159,9 @@ def _cmd_eval(args):
 
 
 def _cmd_growth(args):
+    from .hypergraph import growth_factor
+    from .model import dump_json, load_instance
+
     instance = load_instance(args.instance)
     gamma = growth_factor(instance, args.radius)
     print(f"gamma({args.radius}) = {gamma.numerator}/{gamma.denominator}")

@@ -1,13 +1,7 @@
 """Judging assignments: feasibility, objectives, ratios, the growth certificate."""
 
-from __future__ import annotations
-
-import csv
 import math
-from dataclasses import dataclass
-from pathlib import Path
-
-from .hypergraph import growth_factor
+from typing import NamedTuple
 
 DEFAULT_ORACLE_CAP = 200
 FEASIBILITY_TOL = 1e-9
@@ -55,8 +49,7 @@ def objective(instance, assignment):
     return min(got.values())
 
 
-@dataclass
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     feasible: bool
     max_violation: float
     omega: float | None
@@ -123,6 +116,8 @@ def evaluate(instance, assignment, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
 
     certificate = None
     if R is not None:
+        from .hypergraph import growth_factor
+
         certificate = float(growth_factor(instance, R - 1) * growth_factor(instance, R))
 
     return EvaluationReport(
@@ -155,6 +150,9 @@ def write_reports_csv(path, entries):
     Deterministic: fixed header, rows in the order given, canonical float
     formatting via str().
     """
+    import csv
+    from pathlib import Path
+
     with Path(path).open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
         writer.writeheader()

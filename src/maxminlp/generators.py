@@ -1,17 +1,14 @@
 """Benign instance families: toroidal grids and random bounded-support instances."""
 
-from __future__ import annotations
-
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Instance
 
 
-@dataclass(frozen=True)
-class TorusParams:
+class TorusParams(NamedTuple):
     dim: int
     side: int
     perturb: bool = False

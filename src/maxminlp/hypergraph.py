@@ -7,10 +7,7 @@ subproblems and the adversary's carve all walk through it.  Everything an
 agent may learn within r hops is packaged as a :class:`View`.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 
 def distances(adj, start, limit=None):
@@ -83,6 +80,8 @@ def growth_factor(instance, r):
         raise ValueError("growth factor of an empty instance is undefined")
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    from fractions import Fraction
+
     H = hypergraph(instance)
     best = Fraction(0)
     for v in instance.agents:
@@ -94,8 +93,7 @@ def growth_factor(instance, r):
     return best
 
 
-@dataclass(frozen=True)
-class View:
+class View(NamedTuple):
     """Everything one agent may legally see within its horizon.
 
     ``members`` is exactly the radius-``horizon`` ball around ``center``.

@@ -10,10 +10,8 @@ then caps the benefit the rule can have delivered, which bounds from below
 the approximation ratio any such rule can claim.
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .evaluation import feasibility, objective
 from .hypergraph import hypergraph
@@ -43,8 +41,7 @@ class HorizonTooLargeError(ValueError):
 # Hypertrees.
 
 
-@dataclass
-class Hypertree:
+class Hypertree(NamedTuple):
     """Levelled tree of tagged hyperedges.
 
     Every node at an even level spawns one packing edge ("I") over itself and
@@ -98,8 +95,7 @@ def build_hypertree(d, D, height, first_id=0):
 # High-girth regular bipartite templates.
 
 
-@dataclass
-class BipartiteTemplate:
+class BipartiteTemplate(NamedTuple):
     """Simple regular bipartite graph; right-side ids are offset by n_per_side.
 
     ``girth`` is None when the graph is acyclic (degree 1).
@@ -298,8 +294,7 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed):
 # The glued instance.
 
 
-@dataclass
-class LowerBoundMeta:
+class LowerBoundMeta(NamedTuple):
     """What the construction fixes and the later steps of the attack read."""
 
     r: int

@@ -24,8 +24,6 @@ where a simplex runs: every caller of :func:`solve_maxmin` imports it at call
 time, so a command that solves no LP never loads numpy.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -11,14 +11,12 @@ Rows are sparse maps ``agent id -> coefficient`` holding strictly positive
 entries only; an absent key is a structural zero.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-@dataclass
+
 class Instance:
     """One max-min allocation problem.
 
@@ -26,22 +24,30 @@ class Instance:
     resource id to its capacity row, ``beneficiaries`` maps a beneficiary id
     to its benefit row.  Construction canonicalises all orderings so that two
     equal instances iterate identically; treat instances as immutable after
-    construction (derived structure is cached on first use).
+    construction (derived structure is cached on first use).  Equality
+    compares those three canonical fields.
     """
 
-    agents: tuple
-    resources: dict
-    beneficiaries: dict
-
-    def __post_init__(self):
-        self.agents = tuple(sorted(self.agents))
-        self.resources = {
-            i: dict(sorted(row.items())) for i, row in sorted(self.resources.items())
-        }
+    def __init__(self, agents, resources, beneficiaries):
+        self.agents = tuple(sorted(agents))
+        self.resources = {i: dict(sorted(row.items())) for i, row in sorted(resources.items())}
         self.beneficiaries = {
-            k: dict(sorted(row.items())) for k, row in sorted(self.beneficiaries.items())
+            k: dict(sorted(row.items())) for k, row in sorted(beneficiaries.items())
         }
         self._cache = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.agents, self.resources, self.beneficiaries) == (
+            other.agents, other.resources, other.beneficiaries
+        )
+
+    def __repr__(self):
+        return (
+            f"Instance(agents={self.agents!r}, resources={self.resources!r}, "
+            f"beneficiaries={self.beneficiaries!r})"
+        )
 
     def agent_resources(self):
         """Map agent -> ascending ids of the resource rows covering it."""
@@ -134,8 +140,7 @@ def restrict(instance, agent_set):
     return Instance(tuple(sorted(kept)), inside(instance.resources), inside(instance.beneficiaries))
 
 
-@dataclass
-class Assignment:
+class Assignment(NamedTuple):
     """Activity levels keyed by agent id."""
 
     values: dict
@@ -157,12 +162,21 @@ def _integer_id(value, what):
 
 
 def _by_agent(mapping, where, parse_text=False):
-    """``{int(key): float(value)}``, refusing two keys that name one agent
-    and a boolean value.  A string value such as ``"NaN"`` is parsed only
-    with ``parse_text``; otherwise it is refused as well."""
+    """``{int(key): float(value)}`` from a JSON object, refusing two keys that
+    name one agent and a boolean value.  A key is ASCII digits with an
+    optional leading ``-``, as the writers spell an id; ``int`` alone would
+    also read ``"1_0"``, ``" 0"``, ``"+0"`` and non-ASCII digits.  A string
+    value such as ``"NaN"`` is parsed only with ``parse_text``; otherwise it
+    is refused as well."""
+    if not isinstance(mapping, dict):
+        raise ValueError(
+            f"{where}: expected an object keyed by agent id, not a {type(mapping).__name__}"
+        )
     out = {}
     keys = {}
     for key, value in mapping.items():
+        if not (isinstance(key, str) and key.isascii() and key.removeprefix("-").isdigit()):
+            raise ValueError(f"{where}: key {key!r} is not an agent id")
         v = int(key)
         if v in out:
             raise ValueError(

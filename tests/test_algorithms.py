@@ -352,7 +352,7 @@ def test_one_walk_per_ball_and_one_instance_per_distinct_ball_lp(torus11, monkey
     walks = _counting(monkeypatch, hypergraph, "distances")
     walks_in_views = _counting(monkeypatch, algorithms, "distances")
     lookups = _counting(monkeypatch, algorithms, "local_lp_solution")
-    builds = _counting(monkeypatch, Instance, "__post_init__")
+    builds = _counting(monkeypatch, Instance, "__init__")
     run_local(torus11, LocalAveraging(2))
     assert len(walks) + len(walks_in_views) == 1_280
     assert len(lookups) == 1_216

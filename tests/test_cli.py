@@ -312,6 +312,27 @@ def test_malformed_instance_file_fails_cleanly(tmp_path, capsys):
             assert out.out == ""
 
 
+def test_a_row_that_is_not_an_object_is_refused_by_name(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"agents": [0], "resources": [{"id": 0, "coeffs": [1.0]}], '
+                    '"beneficiaries": []}')
+    proc = cli("solve", str(inst))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: malformed instance payload: resource 0: "
+        "expected an object keyed by agent id, not a list\n"
+    )
+    inst.write_text(json.dumps(_two_agents()))
+    x = tmp_path / "x.json"
+    x.write_text('{"values": [0.5]}')
+    proc = cli("eval", str(inst), str(x))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: malformed assignment payload: values: "
+        "expected an object keyed by agent id, not a list\n"
+    )
+
+
 def test_eval_refuses_a_non_finite_assignment_value(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(_two_agents()))

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -375,7 +374,7 @@ def test_selection_rejects_uncancelled_deltas():
     anchor = meta.tree_levels[0][-1][0]
     x = {v: 0.0 for v in inst.agents}
     x[anchor] = 1.0
-    broken = replace(meta, leaf_pair={v: anchor for v in meta.leaf_pair})
+    broken = meta._replace(leaf_pair={v: anchor for v in meta.leaf_pair})
     with pytest.raises(ArithmeticError, match="cancel"):
         select_hard_subinstance(inst, broken, Assignment(x))
 

@@ -298,13 +298,30 @@ def test_load_instance_refuses_an_instance_that_fails_validation(tmp_path):
          "duplicate beneficiary id 5"),
         (two_agents(resources=[{"id": 0, "coeffs": {"0": 1.0, "00": 0.5, "1": 1.0}}]),
          "resource 0: keys '0' and '00' both name agent 0"),
-        (two_agents(beneficiaries=[{"id": 5, "coeffs": {"1": 1.0, "+1": 2.0}}]),
-         "beneficiary 5: keys '1' and '+1' both name agent 1"),
+        (two_agents(beneficiaries=[{"id": 5, "coeffs": {"1": 1.0, "01": 2.0}}]),
+         "beneficiary 5: keys '1' and '01' both name agent 1"),
     ],
 )
 def test_instance_from_dict_rejects_duplicates(payload, fragment):
     with pytest.raises(ValueError, match=re.escape(fragment)):
         instance_from_dict(payload)
+
+
+# keys that int() reads but no writer spells: an underscore, surrounding
+# space, a plus sign, non-ASCII digits; and keys that are no integer at all
+@pytest.mark.parametrize("key", ["1_0", " 0", "0 ", "+0", "\u0661\u0660", "", "-", "--1", "1.0"])
+def test_agent_keys_are_ascii_digits_with_an_optional_minus(key):
+    payload = two_agents(resources=[{"id": 0, "coeffs": {"0": 1.0, "1": 1.0, key: 1.0}}])
+    with pytest.raises(ValueError, match=re.escape(f"resource 0: key {key!r} is not an agent id")):
+        instance_from_dict(payload)
+    with pytest.raises(ValueError, match=re.escape(f"values: key {key!r} is not an agent id")):
+        assignment_from_dict({"values": {"0": 0.5, key: 0.5}})
+
+
+def test_a_negative_agent_key_is_read_for_validation_to_refuse():
+    assert assignment_from_dict({"values": {"-1": 0.5}}).values == {-1: 0.5}
+    instance = instance_from_dict(two_agents(resources=[{"id": 0, "coeffs": {"-1": 1.0}}]))
+    assert "resource 0: unknown agent -1" in validate(instance)
 
 
 def test_assignment_from_dict_rejects_keys_naming_one_agent():
