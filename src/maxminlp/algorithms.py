@@ -9,7 +9,7 @@ is fixed per configuration; it never depends on the instance.
 import math
 from contextvars import ContextVar
 
-from .hypergraph import distances, extract_view
+from .hypergraph import adjacency, distances, extract_view
 from .model import Assignment, Instance, InvalidInstanceError, validate
 
 
@@ -65,18 +65,6 @@ class SafeAlgorithm(LocalAlgorithm):
                 f"agent {v} touches no resource; the instance should not have validated"
             )
         return best
-
-
-def view_adjacency(view):
-    """Agent adjacency reconstructed from the view's support lists alone."""
-    adj = {}
-    for supports in (view.resource_support, view.beneficiary_support):
-        for support in supports.values():
-            for a in support:
-                adj.setdefault(a, set()).update(support)
-    for a, neighbours in adj.items():
-        neighbours.discard(a)
-    return adj
 
 
 def view_ball(view, adj, start, radius):
@@ -139,7 +127,8 @@ def local_lp_solution(view, u, R, ball=None):
     agent, u, R and the ball size, chained from the solver's error.
     """
     if ball is None:
-        ball = view_ball(view, view_adjacency(view), u, R)
+        adj = adjacency(view.resource_support, view.beneficiary_support)
+        ball = view_ball(view, adj, u, R)
     sub = local_subproblem(view, ball)
     agents, resources, beneficiaries = sub
     if not beneficiaries:
@@ -186,7 +175,7 @@ class LocalAveraging(LocalAlgorithm):
 
     def decide(self, view):
         j = view.center
-        adj = view_adjacency(view)
+        adj = adjacency(view.resource_support, view.beneficiary_support)
         cache = {}
 
         def ball(w):

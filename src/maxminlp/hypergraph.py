@@ -1,10 +1,14 @@
-"""Communication structure of an instance: distances, balls, views.
+"""Communication structure of an instance: adjacency, distances, balls, views.
 
 Two agents are adjacent when some row's support holds both, and distance
-counts row hops.  :func:`distances` is the package's one breadth-first search
-over such an adjacency; balls, growth factors, views, the local algorithms'
-subproblems and the adversary's carve all walk through it.  Everything an
-agent may learn within r hops is packaged as a :class:`View`.
+counts row hops.  The graph layer is :func:`adjacency`, the one builder of
+that adjacency (for an instance's rows and a view's support lists alike),
+:func:`distances`, the one breadth-first search over it, and :func:`ball`.
+Growth factors, views, the local algorithms' subproblems, the adversary's
+carve and its template's girth all walk through :func:`distances`.  Only
+the template greedy keeps a search of its own, the bitmask steps of
+``lowerbound._PartialTemplate.rights_within``, which build the template
+several times faster.  An agent's radius-r knowledge is a :class:`View`.
 """
 
 from typing import NamedTuple
@@ -14,7 +18,8 @@ def distances(adj, start, limit=None):
     """Hop distances from ``start`` over ``adj``, none beyond ``limit``.
 
     ``adj`` maps a node to its neighbours; a node it does not list has none.
-    The search goes level by level and expands nothing at depth ``limit``.
+    The search goes level by level and expands nothing at depth ``limit``,
+    so the nodes come out in nondecreasing depth.
     """
     dist = {start: 0}
     frontier = [start]
@@ -31,43 +36,44 @@ def distances(adj, start, limit=None):
     return dist
 
 
-class Hypergraph:
-    """Shared-support adjacency over the agents, built once per instance."""
+def adjacency(resources, beneficiaries, agents=None):
+    """Agent -> ascending tuple of the other agents that share a row with it.
 
-    def __init__(self, instance):
-        adj = {v: set() for v in instance.agents}
-        for kind, rows in (
-            ("resource", instance.resources),
-            ("beneficiary", instance.beneficiaries),
-        ):
-            for rid, row in rows.items():
-                for v in row:
-                    if v not in adj:
+    ``resources`` and ``beneficiaries`` map a row id to its support.  Given
+    ``agents``, each of them is listed, one in no row too, and a support
+    naming another agent is refused; else the supports name the agents.
+    """
+    adj = {} if agents is None else {v: set() for v in agents}
+    for kind, rows in (("resource", resources), ("beneficiary", beneficiaries)):
+        for rid, row in rows.items():
+            for v in row:
+                neighbours = adj.get(v)
+                if neighbours is None:
+                    if agents is not None:
                         raise ValueError(f"{kind} {rid} references unknown agent {v}")
-                    adj[v].update(row)
-        for v, neighbours in adj.items():
-            neighbours.discard(v)
-        self._adj = {v: tuple(sorted(neighbours)) for v, neighbours in adj.items()}
-
-    def distances_from(self, v, limit=None):
-        """Hop distances from ``v``, optionally cut off beyond ``limit``."""
-        if v not in self._adj:
-            raise ValueError(f"unknown agent id {v}")
-        return distances(self._adj, v, limit)
-
-    def ball(self, v, r):
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        return frozenset(self.distances_from(v, limit=r))
+                    neighbours = adj[v] = set()
+                neighbours.update(row)
+    for v, neighbours in adj.items():
+        neighbours.discard(v)
+    return {v: tuple(sorted(neighbours)) for v, neighbours in adj.items()}
 
 
 def hypergraph(instance):
-    """The instance's hypergraph, built on first use and cached."""
-    hg = instance._cache.get("hypergraph")
-    if hg is None:
-        hg = Hypergraph(instance)
-        instance._cache["hypergraph"] = hg
-    return hg
+    """The adjacency of the instance's agents, built on first use and cached."""
+    adj = instance._cache.get("hypergraph")
+    if adj is None:
+        adj = adjacency(instance.resources, instance.beneficiaries, instance.agents)
+        instance._cache["hypergraph"] = adj
+    return adj
+
+
+def ball(adj, v, r):
+    """The agents within ``r`` hops of ``v`` over ``adj``, ``v`` included."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    if v not in adj:
+        raise ValueError(f"unknown agent id {v}")
+    return frozenset(distances(adj, v, r))
 
 
 def growth_factor(instance, r):
@@ -82,14 +88,11 @@ def growth_factor(instance, r):
         raise ValueError("radius must be nonnegative")
     from fractions import Fraction
 
-    H = hypergraph(instance)
+    adj = hypergraph(instance)
     best = Fraction(0)
     for v in instance.agents:
-        dist = H.distances_from(v, limit=r + 1)
-        inner = sum(1 for d in dist.values() if d <= r)
-        ratio = Fraction(len(dist), inner)
-        if ratio > best:
-            best = ratio
+        dist = distances(adj, v, r + 1)
+        best = max(best, Fraction(len(dist), sum(1 for d in dist.values() if d <= r)))
     return best
 
 
@@ -114,7 +117,7 @@ class View(NamedTuple):
 
 
 def extract_view(instance, v, r):
-    members = sorted(hypergraph(instance).ball(v, r))
+    members = sorted(ball(hypergraph(instance), v, r))
     I_of = instance.agent_resources()
     K_of = instance.agent_beneficiaries()
 

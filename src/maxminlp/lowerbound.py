@@ -14,7 +14,7 @@ import random
 from typing import NamedTuple
 
 from .evaluation import feasibility, objective
-from .hypergraph import hypergraph
+from .hypergraph import ball, distances, hypergraph
 from .model import Assignment, Instance, InvalidInstanceError, restrict
 from .algorithms import run_local
 
@@ -112,68 +112,50 @@ class BipartiteTemplate(NamedTuple):
 
 
 def _graph_girth(adj):
-    """Exact girth of a bipartite graph by BFS from every vertex; None when acyclic.
+    """Exact girth of a bipartite graph, None when acyclic; ``adj`` lists a
+    repeated edge as often as it repeats, making a cycle of length 2.
 
-    Expanding BFS level L closes cycles of length 2L (edges back to level
-    L - 1, already seen from there) or 2L + 2; with no edge inside a level,
-    nothing shorter than the best so far can appear once 2L + 2 reaches it.
+    Until a cycle closes, the root sends all its edges down to depth 1 and
+    each node at depth d - 1 >= 1 all but the one to its parent down to
+    depth d, so a ring d holding fewer nodes than the edges into it has a
+    node with two parents, on a cycle of at most 2d.  From a root on a
+    shortest cycle, its antipode is such a node at half the girth.  Rings
+    come from :func:`distances`, which lists nodes in nondecreasing depth,
+    and only as deep as a shorter cycle could close.
     """
     best = None
     for root in adj:
-        dist = {root: 0}
-        parent = {root: None}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        cycle = dist[u] + dist[w] + 1
-                        if best is None or cycle < best:
-                            best = cycle
-            queue = nxt
-            if best is not None and queue and 2 * dist[queue[0]] + 2 >= best:
-                break
+        dist = distances(adj, root, None if best is None else best // 2 - 1)
+        deepest = next(reversed(dist.values()))
+        # surplus[d]: edges from ring d - 1 down to ring d, less ring d's nodes
+        surplus = [0] * (deepest + 1)
+        for u, depth in dist.items():
+            surplus[depth] -= 1
+            if depth < deepest:
+                surplus[depth + 1] += len(adj[u]) - (depth > 0)
+        best = next((2 * d for d in range(1, deepest + 1) if surplus[d] > 0), best)
     return best
 
 
-class _Bits:
-    """The set bits of a mask as an ascending sequence.
+def _set_bits(mask):
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    ``rng.choice`` on it draws exactly as on the sorted list of the same
-    positions, without building that list.
-    """
 
-    def __init__(self, mask):
-        self.mask = mask
-        self.count = mask.bit_count()
-
-    def __len__(self):
-        return self.count
-
-    def __iter__(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def __getitem__(self, k):
-        if not 0 <= k < self.count:
-            raise IndexError(k)
-        # invariant: at most k set bits below lo, more than k below hi
-        lo, hi = 0, self.mask.bit_length()
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self.mask & ((1 << mid) - 1)).bit_count() > k:
-                hi = mid
-            else:
-                lo = mid
-        return lo
+def _kth_set_bit(mask, k):
+    """Position of the set bit of ``mask`` that has k set bits below it."""
+    # invariant: at most k set bits below lo, more than k below hi
+    lo, hi = 0, mask.bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 class _PartialTemplate:
@@ -204,7 +186,9 @@ class _PartialTemplate:
 
         Every edge joins the two sides, so right vertices sit at odd distances
         from the left vertex u and window - 1 hops reach the same ones: u's
-        neighbours, then window / 2 - 1 two-hop steps.
+        neighbours, then window / 2 - 1 two-hop steps.  This is the template
+        greedy's bitmask search, kept beside :func:`distances` because whole
+        masks build the adversary's template about seven times faster.
         """
         if window < 2:
             return 0
@@ -218,7 +202,7 @@ class _PartialTemplate:
             if not step:
                 break
             seen |= step
-            frontier = _Bits(step)
+            frontier = _set_bits(step)
         return seen
 
 
@@ -259,11 +243,13 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed):
             free = (1 << n_per_side) - 1
             for u in order:
                 # a new edge u-w closes a cycle of length dist(u, w) + 1
-                allowed = _Bits(free & ~graph.rights_within(u, window))
-                if not allowed:
+                allowed = free & ~graph.rights_within(u, window)
+                count = allowed.bit_count()
+                if not count:
                     stuck = True
                     break
-                i = rng.choice(allowed)
+                # the draw of rng.choice over the ascending allowed bits
+                i = _kth_set_bit(allowed, rng.randrange(count))
                 graph.add_edge(u, i)
                 free &= ~(1 << i)
             if stuck:
@@ -369,21 +355,16 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
         leaf_pair[right_leaf] = left_leaf
         type3.append((left_leaf, right_leaf))
 
-    resources = {}
-    beneficiaries = {}
-    rid = 0
-    pending_benefit_rows = []
+    packing, benefit = [], []
     for q in template.vertices:
         for kind, members in trees[q].edges:
             if kind == "I":
-                resources[rid] = {v: 1.0 for v in members}
-                rid += 1
+                packing.append({v: 1.0 for v in members})
             else:
-                pending_benefit_rows.append({v: 1.0 / D for v in members})
-    for pair in type3:
-        pending_benefit_rows.append({v: 1.0 for v in pair})
-    for offset, row in enumerate(pending_benefit_rows):
-        beneficiaries[rid + offset] = row
+                benefit.append({v: 1.0 / D for v in members})
+    benefit += [{v: 1.0 for v in pair} for pair in type3]
+    resources = dict(enumerate(packing))
+    beneficiaries = dict(enumerate(benefit, start=len(packing)))
 
     instance = Instance(tuple(range(total_agents)), resources, beneficiaries)
     meta = LowerBoundMeta(
@@ -422,9 +403,9 @@ def select_hard_subinstance(instance, meta, assignment):
     p = min(q for q, value in delta.items() if value == best)
 
     keep = set(meta.tree_agents(p))
-    H = hypergraph(instance)
+    adj = hypergraph(instance)
     for leaf in meta.tree_levels[p][-1]:
-        keep |= H.ball(leaf, 2 * meta.r)
+        keep |= ball(adj, leaf, 2 * meta.r)
     return restrict(instance, keep), p, delta
 
 
@@ -435,7 +416,7 @@ def parity_solution(sub_instance, root):
     benefit rows alternate along every root path, and this point meets every
     row with exactly one unit -- witnessing an optimum of one.
     """
-    dist = hypergraph(sub_instance).distances_from(root)
+    dist = distances(hypergraph(sub_instance), root)
     missing = set(sub_instance.agents) - set(dist)
     if missing:
         raise ArithmeticError(

@@ -153,6 +153,31 @@ class Assignment(NamedTuple):
 # round trips.  Every file is written as json.dumps(payload, indent=2,
 # sort_keys=True) spells it, plus a trailing newline.
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _mistyped(where, expected, value):
+    kind = _JSON_KINDS.get(type(value)) or f"a {type(value).__name__}"
+    return ValueError(f"{where}: expected {expected}, not {kind}")
+
+
+def _field(payload, key, where):
+    """``payload[key]``, refusing a payload that is not an object or lacks ``key``."""
+    if not isinstance(payload, dict):
+        raise _mistyped(where, "an object", payload)
+    if key not in payload:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return payload[key]
+
+
+def _top_list(payload, key):
+    value = _field(payload, key, "top level")
+    if not isinstance(value, list):
+        raise _mistyped(key, "a list", value)
+    return value
+
+
 def _integer_id(value, what):
     """``value`` itself when it is an integer; anything else, a float or a
     boolean included, is refused rather than truncated."""
@@ -163,15 +188,13 @@ def _integer_id(value, what):
 
 def _by_agent(mapping, where, parse_text=False):
     """``{int(key): float(value)}`` from a JSON object, refusing two keys that
-    name one agent and a boolean value.  A key is ASCII digits with an
-    optional leading ``-``, as the writers spell an id; ``int`` alone would
-    also read ``"1_0"``, ``" 0"``, ``"+0"`` and non-ASCII digits.  A string
-    value such as ``"NaN"`` is parsed only with ``parse_text``; otherwise it
-    is refused as well."""
+    name one agent and a value that is not a number.  A key is ASCII digits
+    with an optional leading ``-``, as the writers spell an id; ``int`` alone
+    would also read ``"1_0"``, ``" 0"``, ``"+0"`` and non-ASCII digits.  A
+    string value such as ``"NaN"`` is parsed only with ``parse_text``;
+    otherwise it is refused as well."""
     if not isinstance(mapping, dict):
-        raise ValueError(
-            f"{where}: expected an object keyed by agent id, not a {type(mapping).__name__}"
-        )
+        raise _mistyped(where, "an object keyed by agent id", mapping)
     out = {}
     keys = {}
     for key, value in mapping.items():
@@ -182,7 +205,8 @@ def _by_agent(mapping, where, parse_text=False):
             raise ValueError(
                 f"{where}: keys {keys[v]!r} and {key!r} both name agent {v}"
             )
-        if isinstance(value, bool) or (isinstance(value, str) and not parse_text):
+        numeric = isinstance(value, (int, float)) or parse_text and isinstance(value, str)
+        if isinstance(value, bool) or not numeric:
             raise ValueError(f"{where}: {value!r} for agent {v} is not a number")
         keys[v] = key
         out[v] = float(value)
@@ -190,12 +214,13 @@ def _by_agent(mapping, where, parse_text=False):
 
 
 def _rows_from_list(entries, kind):
+    """Rows by id; a row is named by its id, or by its position without one."""
     rows = {}
-    for entry in entries:
-        rid = _integer_id(entry["id"], f"{kind} id")
+    for position, entry in enumerate(entries):
+        rid = _integer_id(_field(entry, "id", f"{kind} at position {position}"), f"{kind} id")
         if rid in rows:
             raise ValueError(f"duplicate {kind} id {rid}")
-        rows[rid] = _by_agent(entry["coeffs"], f"{kind} {rid}")
+        rows[rid] = _by_agent(_field(entry, "coeffs", f"{kind} {rid}"), f"{kind} {rid}")
     return rows
 
 
@@ -206,12 +231,13 @@ def instance_from_dict(payload):
     to the same agent (``"0"`` and ``"00"``), are rejected rather than letting
     the last one win.  An agent or row id must be a JSON integer and a
     coefficient a JSON number, so no id is truncated, no boolean is read as
-    1 or 0 and no string such as ``"2"`` is read as a number.
+    1 or 0 and no string such as ``"2"`` is read as a number.  A refusal
+    names the row, the key or the top level at fault.
     """
     try:
-        agents = tuple(_integer_id(v, "agent") for v in payload["agents"])
-        resources = _rows_from_list(payload["resources"], "resource")
-        beneficiaries = _rows_from_list(payload["beneficiaries"], "beneficiary")
+        agents = tuple(_integer_id(v, "agent") for v in _top_list(payload, "agents"))
+        resources = _rows_from_list(_top_list(payload, "resources"), "resource")
+        beneficiaries = _rows_from_list(_top_list(payload, "beneficiaries"), "beneficiary")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed instance payload: {exc}") from exc
     return Instance(agents, resources, beneficiaries)
@@ -303,7 +329,7 @@ def assignment_to_dict(assignment):
 
 def assignment_from_dict(payload):
     try:
-        values = _by_agent(payload["values"], "values", parse_text=True)
+        values = _by_agent(_field(payload, "values", "top level"), "values", parse_text=True)
         for v, x in values.items():
             if not math.isfinite(x):
                 raise ValueError(f"agent {v} has the non-finite value {x!r}")

@@ -16,12 +16,11 @@ from maxminlp.algorithms import (
     local_subproblem,
     make_algorithm,
     run_local,
-    view_adjacency,
     view_ball,
 )
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.hypergraph import extract_view, growth_factor
+from maxminlp.hypergraph import adjacency, extract_view, growth_factor
 from maxminlp.lp import solve_maxmin
 from maxminlp.model import Instance
 
@@ -76,11 +75,15 @@ def test_zero_algorithm_is_trivially_feasible():
     assert feasibility(inst, out)[0]
 
 
+def view_adjacency(view):
+    return adjacency(view.resource_support, view.beneficiary_support)
+
+
 def test_view_adjacency_spans_identity_lists():
     view = extract_view(path4(), 1, 1)
     adj = view_adjacency(view)
     # agent 3 is not a member, but its identity arrives via resource 1
-    assert adj == {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
+    assert adj == {0: (1,), 1: (0, 2), 2: (1, 3), 3: (2,)}
 
 
 def test_view_ball_enforces_locality():

@@ -333,6 +333,46 @@ def test_a_row_that_is_not_an_object_is_refused_by_name(tmp_path):
     )
 
 
+@pytest.mark.parametrize("payload, culprit", [
+    ([0], "top level: expected an object, not a list"),
+    ({"resources": [], "beneficiaries": []}, "top level: missing key 'agents'"),
+    ({"agents": 5, "resources": [], "beneficiaries": []},
+     "agents: expected a list, not a number"),
+    ({"agents": [0], "resources": {"x": 1}, "beneficiaries": []},
+     "resources: expected a list, not an object"),
+    ({"agents": [0], "resources": [[0, {"0": 1.0}]], "beneficiaries": []},
+     "resource at position 0: expected an object, not a list"),
+    ({"agents": [0], "resources": [{"id": 0, "coeffs": {"0": 1.0}}, {"coeffs": {}}],
+      "beneficiaries": []},
+     "resource at position 1: missing key 'id'"),
+    ({"agents": [0], "resources": [{"id": 0}], "beneficiaries": []},
+     "resource 0: missing key 'coeffs'"),
+    ({"agents": [0], "resources": [], "beneficiaries": [{"id": 2, "coeffs": {"0": [1.0]}}]},
+     "beneficiary 2: [1.0] for agent 0 is not a number"),
+])
+def test_a_malformed_instance_is_refused_naming_its_culprit(tmp_path, payload, culprit):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(payload))
+    proc = cli("solve", str(inst))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: malformed instance payload: {culprit}\n"
+
+
+@pytest.mark.parametrize("payload, culprit", [
+    ([0.5], "top level: expected an object, not a list"),
+    ({"vals": {}}, "top level: missing key 'values'"),
+    ({"values": {"0": None}}, "values: None for agent 0 is not a number"),
+])
+def test_a_malformed_assignment_is_refused_naming_its_culprit(tmp_path, payload, culprit):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_two_agents()))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(payload))
+    proc = cli("eval", str(inst), str(x))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: malformed assignment payload: {culprit}\n"
+
+
 def test_eval_refuses_a_non_finite_assignment_value(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(_two_agents()))

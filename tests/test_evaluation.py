@@ -14,7 +14,7 @@ from maxminlp.evaluation import (
     write_reports_csv,
 )
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.hypergraph import growth_factor, hypergraph
+from maxminlp.hypergraph import ball, growth_factor, hypergraph
 from maxminlp.model import Assignment, Instance
 
 
@@ -196,8 +196,8 @@ def test_locality_profile_matches_independent_balls(seed, R):
     # the reference profile against statistics rebuilt from the package's balls
     inst = gen_random(10, 3, seed=seed)
     profile = oracles.locality_profile(inst, R)
-    H = hypergraph(inst)
-    balls = {v: H.ball(v, R) for v in inst.agents}
+    adj = hypergraph(inst)
+    balls = {v: ball(adj, v, R) for v in inst.agents}
     beta = None
     for i, row in inst.resources.items():
         n_i = min(len(balls[v]) for v in row)

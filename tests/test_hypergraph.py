@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from maxminlp.generators import TorusParams, gen_random, gen_torus
 from maxminlp.hypergraph import (
-    Hypergraph,
+    ball,
     distances,
     extract_view,
     growth_factor,
@@ -26,35 +26,41 @@ def path4():
 def test_unknown_agent_in_support_is_rejected():
     bad = Instance((0,), {0: {0: 1.0, 7: 1.0}}, {1: {0: 1.0}})
     with pytest.raises(ValueError, match="resource 0 references unknown agent 7"):
-        Hypergraph(bad)
+        hypergraph(bad)
+
+
+def test_an_agent_in_no_row_is_still_known():
+    adj = hypergraph(Instance((0, 1, 2), {0: {0: 1.0, 2: 1.0}}, {}))
+    assert adj == {0: (2,), 1: (), 2: (0,)}
+    assert ball(adj, 1, 3) == frozenset({1})
 
 
 def test_distances_on_the_path():
-    H = Hypergraph(path4())
-    assert H.distances_from(0) == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert H.distances_from(0, limit=1) == {0: 0, 1: 1}
-    assert H.ball(1, 1) == frozenset({0, 1, 2})
-    assert H.ball(3, 2) == frozenset({1, 2, 3})
-    with pytest.raises(ValueError):
-        H.distances_from(99)
-    with pytest.raises(ValueError):
-        H.ball(0, -1)
+    adj = hypergraph(path4())
+    assert distances(adj, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert distances(adj, 0, limit=1) == {0: 0, 1: 1}
+    assert ball(adj, 1, 1) == frozenset({0, 1, 2})
+    assert ball(adj, 3, 2) == frozenset({1, 2, 3})
+    with pytest.raises(ValueError, match="unknown agent id 99"):
+        ball(adj, 99, 0)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        ball(adj, 0, -1)
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_balls_match_set_expansion_oracle(seed, r):
     inst = gen_random(10, 3, seed=seed)
-    H = hypergraph(inst)
+    adj = hypergraph(inst)
     for v in inst.agents:
-        assert set(H.ball(v, r)) == oracles.ball(inst, v, r)
+        assert set(ball(adj, v, r)) == oracles.ball(inst, v, r)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6))
 def test_distances_match_set_expansion_at_every_radius(n_agents, max_support, seed):
     inst = gen_random(n_agents, max_support, seed=seed)
-    adj = hypergraph(inst)._adj
+    adj = hypergraph(inst)
     for v in inst.agents:
         inner = set()
         for r in range(5):

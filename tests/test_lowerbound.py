@@ -1,11 +1,12 @@
 import hashlib
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from maxminlp import algorithms, lowerbound
+from maxminlp import algorithms, hypergraph, lowerbound
 from maxminlp.algorithms import InvalidInstanceError, make_algorithm, run_local
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.hypergraph import extract_view
@@ -211,16 +212,26 @@ def test_early_exit_girth_is_none_on_forests(case):
     assert_girth_matches_networkx(n, edges)
 
 
+def test_a_repeated_edge_is_a_cycle_of_length_two():
+    # networkx's Graph keeps one copy of an edge, so it cannot check these;
+    # in the second the repeat is two rings away from the first root
+    for n, edges in [
+        (3, [(0, 3), (1, 4), (0, 3), (2, 5), (1, 5)]),
+        (2, [(0, 2), (1, 2), (1, 3), (1, 3)]),
+    ]:
+        assert lowerbound._graph_girth(adjacency(n, edges)) == 2
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**70))
-def test_bits_index_the_set_positions_in_order(mask):
+@given(st.integers(0, 2**70), st.integers(0, 2**32))
+def test_set_bit_helpers_give_the_set_positions_in_order(mask, seed):
     positions = [p for p in range(mask.bit_length()) if mask >> p & 1]
-    bits = lowerbound._Bits(mask)
-    assert len(bits) == len(positions)
-    assert list(bits) == positions
-    assert [bits[k] for k in range(len(bits))] == positions
-    with pytest.raises(IndexError):
-        bits[len(positions)]
+    assert list(lowerbound._set_bits(mask)) == positions
+    assert [lowerbound._kth_set_bit(mask, k) for k in range(len(positions))] == positions
+    if positions:
+        # the template greedy's draw is the one rng.choice makes on the list
+        k = random.Random(seed).randrange(len(positions))
+        assert lowerbound._kth_set_bit(mask, k) == random.Random(seed).choice(positions)
 
 
 @settings(max_examples=100, deadline=None)
@@ -391,6 +402,36 @@ def test_parity_solution_saturates_every_row():
     ok, worst = feasibility(sub, parity)
     assert ok
     assert objective(sub, parity) == 1.0
+
+
+def _walks(monkeypatch, module):
+    """The start node of every ``distances`` call made through ``module``."""
+    starts = []
+    real = module.distances
+
+    def counted(*args):
+        starts.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(module, "distances", counted)
+    return starts
+
+
+def test_every_graph_walk_of_the_attack_goes_through_distances(monkeypatch):
+    # a private breadth-first search anywhere below would leave a list short
+    in_hypergraph = _walks(monkeypatch, hypergraph)
+    in_lowerbound = _walks(monkeypatch, lowerbound)
+    inst, meta = built()
+    # the template's girth: one walk from every template vertex
+    assert in_hypergraph == []
+    assert in_lowerbound == list(meta.template.vertices)
+    zero = Assignment({v: 0.0 for v in inst.agents})
+    sub, p, _ = select_hard_subinstance(inst, meta, zero)
+    # the carve: one ball around each leaf of the selected tree
+    assert in_hypergraph == meta.tree_levels[p][-1]
+    root = meta.tree_levels[p][0][0]
+    parity_solution(sub, root)
+    assert in_lowerbound == [*meta.template.vertices, root]
 
 
 @pytest.mark.parametrize("alg_name", ["zero", "safe"])
