@@ -8,7 +8,9 @@ FEASIBILITY_TOL = 1e-9
 
 
 def _check_domain(instance, assignment):
-    if set(assignment.values) != set(instance.agents):
+    # key views compare as sets, and the instance's incidence map is keyed
+    # by its agents and cached, so no agent-keyed set is built per check
+    if assignment.values.keys() != instance.agent_resources().keys():
         raise ValueError("assignment domain does not match the instance's agents")
 
 

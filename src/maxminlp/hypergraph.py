@@ -42,20 +42,24 @@ def adjacency(resources, beneficiaries, agents=None):
     ``resources`` and ``beneficiaries`` map a row id to its support.  Given
     ``agents``, each of them is listed, one in no row too, and a support
     naming another agent is refused; else the supports name the agents.
+    Each agent's rows are collected first and then turned into its tuple
+    one agent at a time, so at most one neighbour set is alive at a time.
     """
-    adj = {} if agents is None else {v: set() for v in agents}
+    adj = {} if agents is None else {v: [] for v in agents}
     for kind, rows in (("resource", resources), ("beneficiary", beneficiaries)):
         for rid, row in rows.items():
             for v in row:
-                neighbours = adj.get(v)
-                if neighbours is None:
+                mine = adj.get(v)
+                if mine is None:
                     if agents is not None:
                         raise ValueError(f"{kind} {rid} references unknown agent {v}")
-                    neighbours = adj[v] = set()
-                neighbours.update(row)
-    for v, neighbours in adj.items():
+                    mine = adj[v] = []
+                mine.append(row)
+    for v, mine in adj.items():
+        neighbours = set().union(*mine)
         neighbours.discard(v)
-    return {v: tuple(sorted(neighbours)) for v, neighbours in adj.items()}
+        adj[v] = tuple(sorted(neighbours))
+    return adj
 
 
 def hypergraph(instance):

@@ -355,13 +355,14 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
         leaf_pair[right_leaf] = left_leaf
         type3.append((left_leaf, right_leaf))
 
+    share = 1.0 / D  # one float object shared by every type-II entry
     packing, benefit = [], []
     for q in template.vertices:
         for kind, members in trees[q].edges:
             if kind == "I":
                 packing.append({v: 1.0 for v in members})
             else:
-                benefit.append({v: 1.0 / D for v in members})
+                benefit.append({v: share for v in members})
     benefit += [{v: 1.0 for v in pair} for pair in type3]
     resources = dict(enumerate(packing))
     beneficiaries = dict(enumerate(benefit, start=len(packing)))

@@ -65,8 +65,9 @@ class Instance:
                 for v in row:
                     if v in acc:
                         acc[v].append(rid)
-            got = {v: tuple(ids) for v, ids in acc.items()}
-            self._cache[key] = got
+            for v, ids in acc.items():
+                acc[v] = tuple(ids)
+            got = self._cache[key] = acc
         return got
 
 
@@ -101,21 +102,23 @@ def validate(instance):
     violations = instance._cache.get("validation")
     if violations is not None:
         return violations
+    # the incidence map is keyed by the agents and cached, so it serves as
+    # the agent set; agents is sorted, so a repeated id follows its first copy
+    I_of = instance.agent_resources()
     violations = []
-    seen = set()
+    previous = None
     for v in instance.agents:
         if not isinstance(v, int) or v < 0:
             violations.append(f"agent {v!r}: ids must be nonnegative integers")
-        elif v in seen:
+        elif v == previous:
             violations.append(f"agent {v}: duplicate id")
-        seen.add(v)
-    overlap = set(instance.resources) & set(instance.beneficiaries)
+        previous = v
+    overlap = instance.resources.keys() & instance.beneficiaries.keys()
     for rid in sorted(overlap):
         violations.append(f"id {rid}: used for both a resource and a beneficiary")
-    agent_set = set(instance.agents)
-    _check_rows("resource", instance.resources, agent_set, violations)
-    _check_rows("beneficiary", instance.beneficiaries, agent_set, violations)
-    for v, ids in instance.agent_resources().items():
+    _check_rows("resource", instance.resources, I_of, violations)
+    _check_rows("beneficiary", instance.beneficiaries, I_of, violations)
+    for v, ids in I_of.items():
         if not ids:
             violations.append(f"agent {v}: no resource covers it (empty I_v)")
     violations = tuple(violations)
@@ -130,12 +133,13 @@ def restrict(instance, agent_set):
     kept = frozenset(agent_set)
     if not kept:
         raise ValueError("agent_set must be nonempty")
-    unknown = kept - set(instance.agents)
+    unknown = kept.difference(instance.agents)
     if unknown:
         raise ValueError(f"agent_set contains unknown agents: {sorted(unknown)[:5]}")
 
     def inside(mapping):
-        return {rid: dict(row) for rid, row in mapping.items() if kept.issuperset(row)}
+        # Instance copies each row it is given, so the rows are passed as they are
+        return {rid: row for rid, row in mapping.items() if kept.issuperset(row)}
 
     return Instance(tuple(sorted(kept)), inside(instance.resources), inside(instance.beneficiaries))
 

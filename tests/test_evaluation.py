@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from maxminlp.evaluation import (
 )
 from maxminlp.generators import TorusParams, gen_random, gen_torus
 from maxminlp.hypergraph import ball, growth_factor, hypergraph
-from maxminlp.model import Assignment, Instance
+from maxminlp.model import Assignment, Instance, validate
 
 
 def pair():
@@ -44,6 +45,28 @@ def test_domain_mismatch_raises():
         feasibility(pair(), Assignment({0: 0.0}))
     with pytest.raises(ValueError, match="domain"):
         benefits(pair(), Assignment({0: 0.0, 1: 0.0, 2: 0.0}))
+    with pytest.raises(ValueError, match="domain"):
+        feasibility(pair(), Assignment({0: 0.0, 2: 0.0}))
+
+
+def test_domain_check_builds_no_agent_keyed_scratch():
+    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
+    x = Assignment({v: 0.1 for v in inst.agents})
+    validate(inst)  # builds and caches the incidence maps, as loading does
+    tracemalloc.start()
+    try:
+        agent_set = set(inst.agents)
+        one_set, _ = tracemalloc.get_traced_memory()
+        del agent_set
+        tracemalloc.reset_peak()
+        ok, _ = feasibility(inst, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < one_set, (peak, one_set)
+    # the check keeps set semantics: the order of the keys does not matter
+    assert feasibility(inst, Assignment(dict(reversed(x.values.items()))))[0]
 
 
 def test_benefits_and_objective_exact():

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from maxminlp.generators import TorusParams, gen_random, gen_torus
 from maxminlp.hypergraph import (
+    adjacency,
     ball,
     distances,
     extract_view,
@@ -45,6 +47,30 @@ def test_distances_on_the_path():
         ball(adj, 99, 0)
     with pytest.raises(ValueError, match="radius must be nonnegative"):
         ball(adj, 0, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6))
+def test_adjacency_matches_the_row_oracle_as_ascending_tuples(n_agents, max_support, seed):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    adj = hypergraph(inst)
+    expected = oracles.row_adjacency(inst)
+    assert list(adj) == list(inst.agents)
+    assert adj == {v: tuple(sorted(expected[v])) for v in inst.agents}
+
+
+def test_adjacency_peak_stays_near_what_it_keeps():
+    # one neighbour set at a time: the builder's scratch is the per-agent
+    # row lists, not a set per agent next to the finished tuples
+    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
+    tracemalloc.start()
+    try:
+        adj = adjacency(inst.resources, inst.beneficiaries, inst.agents)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(adj) == 3600
+    assert peak <= 2 * kept, (peak, kept)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -298,6 +298,14 @@ def test_adversarial_instance_shape():
     assert oracles.degree_maxima(inst) == (3, 2, 1, 1)
 
 
+def test_type_two_rows_share_one_coefficient_object():
+    # 1/D is computed once, so the trees' benefit rows hold one float
+    inst, _ = build_adversarial_instance(1, 2, 1, 2, seed=0)
+    shares = [c for row in inst.beneficiaries.values() for c in row.values() if c != 1.0]
+    assert len(shares) > 1 and set(shares) == {0.5}
+    assert len({id(c) for c in shares}) == 1
+
+
 def test_adversarial_instance_is_deterministic():
     a, meta_a = built()
     b, meta_b = built()

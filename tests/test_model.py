@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from maxminlp import algorithms
-from maxminlp.generators import gen_random
+from maxminlp.generators import TorusParams, gen_random, gen_torus
+from maxminlp.hypergraph import ball, hypergraph
 from maxminlp.model import (
     Assignment,
     Instance,
@@ -99,10 +101,57 @@ def test_restrict_strict_keeps_fully_inside_rows():
 
 
 def test_restrict_rejects_bad_agent_sets():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="agent_set must be nonempty"):
         restrict(chain(), set())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("agent_set contains unknown agents: [99]")):
         restrict(chain(), {0, 99})
+
+
+def test_validate_lists_shared_row_ids_in_ascending_order():
+    inst = Instance((0,), {7: {0: 1.0}, 3: {0: 1.0}, 5: {0: 1.0}}, {7: {0: 1.0}, 3: {0: 1.0}})
+    assert validate(inst) == (
+        "id 3: used for both a resource and a beneficiary",
+        "id 7: used for both a resource and a beneficiary",
+    )
+
+
+def test_validate_flags_a_repeated_id_once_per_extra_copy():
+    inst = Instance((2, 0, 2, 1, 2), {0: {0: 1.0, 1: 1.0, 2: 1.0}}, {1: {0: 1.0}})
+    assert validate(inst) == ("agent 2: duplicate id", "agent 2: duplicate id")
+
+
+def _traced(call):
+    """``call()``, the bytes still allocated when it returns, and its traced peak."""
+    tracemalloc.start()
+    try:
+        got = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, kept, peak
+
+
+def _torus_and_one_agent_set():
+    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
+    _, one_set, _ = _traced(lambda: set(inst.agents))
+    return inst, one_set
+
+
+def test_restrict_builds_no_agent_keyed_scratch():
+    inst, one_set = _torus_and_one_agent_set()
+    keep = ball(hypergraph(inst), 0, 2)
+    sub, kept, peak = _traced(lambda: restrict(inst, keep))
+    assert sub.agents == tuple(sorted(keep))
+    assert peak - kept < one_set, (peak, kept, one_set)
+
+
+def test_validate_builds_no_agent_keyed_scratch():
+    inst, one_set = _torus_and_one_agent_set()
+    validate(inst)  # builds and caches the incidence maps, as loading does
+    inst._cache.pop("validation")
+    violations, kept, peak = _traced(lambda: validate(inst))
+    assert violations == ()
+    assert peak - kept < one_set, (peak, kept, one_set)
 
 
 def test_instance_json_round_trip(tmp_path):
