@@ -107,6 +107,19 @@ def _cmd_run(args):
     return 0
 
 
+def _rounded_down(value):
+    """``value`` as ``.12g`` spells it, but rounded down rather than to
+    nearest, so that a lower bound printed to twelve digits stays one."""
+    from decimal import ROUND_FLOOR, Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 12
+        ctx.rounding = ROUND_FLOOR
+        down = +Decimal(value)
+    # a float holds twelve digits exactly enough for .12g to spell them back
+    return f"{float(down):.12g}"
+
+
 def _cmd_adversary(args):
     from .algorithms import make_algorithm
     from .lowerbound import adversarial_lower_bound
@@ -123,7 +136,7 @@ def _cmd_adversary(args):
     if ratio == "unbounded":
         print("certified ratio: unbounded (the algorithm earned nothing)")
     else:
-        print(f"certified ratio >= {ratio:.12g}")
+        print(f"certified ratio >= {_rounded_down(ratio)}")
     print(f"theoretical floor = {report['theoretical_floor']:.12g}")
     if args.output:
         report["config"] = _config(args, n_per_side=report["params"]["n_per_side"])

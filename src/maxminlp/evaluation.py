@@ -10,17 +10,18 @@ FEASIBILITY_TOL = 1e-9
 def _check_domain(instance, assignment):
     # key views compare as sets, and the instance's incidence map is keyed
     # by its agents and cached, so no agent-keyed set is built per check
-    if assignment.values.keys() != instance.agent_resources().keys():
+    if assignment.values.keys() != instance.agent_rows().keys():
         raise ValueError("assignment domain does not match the instance's agents")
 
 
-def feasibility(instance, assignment, tol=FEASIBILITY_TOL):
+def feasibility(instance, assignment):
     """(feasible, max violation): the worst resource-row overshoot.
 
     The violation of a row is (load - 1); the reported maximum is negative
-    when every row has slack.  Negative activities below -tol also fail,
-    but the maximum covers rows only, so it stays negative when a negative
-    activity is the sole defect; :func:`evaluate` names that agent in a note.
+    when every row has slack.  Both it and negative activities are held to
+    FEASIBILITY_TOL, but the maximum covers rows only, so it stays negative
+    when a negative activity is the sole defect; :func:`evaluate` names that
+    agent in a note.
     """
     _check_domain(instance, assignment)
     x = assignment.values
@@ -29,7 +30,7 @@ def feasibility(instance, assignment, tol=FEASIBILITY_TOL):
         load = sum(a * x[v] for v, a in row.items())
         worst = max(worst, load - 1.0)
     lowest = min(x.values(), default=0.0)
-    feasible = worst <= tol and lowest >= -tol
+    feasible = worst <= FEASIBILITY_TOL and lowest >= -FEASIBILITY_TOL
     return feasible, worst
 
 
@@ -44,11 +45,14 @@ def benefits(instance, assignment):
 
 
 def objective(instance, assignment):
-    """Smallest beneficiary benefit."""
-    got = benefits(instance, assignment)
-    if not got:
+    """Smallest beneficiary benefit, taken without keeping every benefit."""
+    _check_domain(instance, assignment)
+    if not instance.beneficiaries:
         raise ValueError("empty K: the objective needs at least one beneficiary")
-    return min(got.values())
+    x = assignment.values
+    return min(
+        sum(c * x[v] for v, c in row.items()) for row in instance.beneficiaries.values()
+    )
 
 
 class EvaluationReport(NamedTuple):

@@ -121,28 +121,39 @@ class View(NamedTuple):
 
 
 def extract_view(instance, v, r):
+    """Agent ``v``'s radius-``r`` :class:`View` of a valid instance.
+
+    One pass over the members' rows of :meth:`~maxminlp.model.Instance.agent_rows`
+    gets or creates each row's coefficients once per member; a row id is a
+    resource's when the resources hold it, which validity makes exact.
+    """
     members = sorted(ball(hypergraph(instance), v, r))
-    I_of = instance.agent_resources()
-    K_of = instance.agent_beneficiaries()
+    rows_of = instance.agent_rows()
+    resources = instance.resources
+    beneficiaries = instance.beneficiaries
 
     res_coeffs = {}
     ben_coeffs = {}
     for u in members:
-        for i in I_of[u]:
-            res_coeffs.setdefault(i, {})[u] = instance.resources[i][u]
-        for k in K_of[u]:
-            ben_coeffs.setdefault(k, {})[u] = instance.beneficiaries[k][u]
+        for i in rows_of[u]:
+            row = resources.get(i)
+            coeffs_of = res_coeffs
+            if row is None:
+                row = beneficiaries[i]
+                coeffs_of = ben_coeffs
+            coeffs = coeffs_of.get(i)
+            if coeffs is None:
+                coeffs = coeffs_of[i] = {}
+            coeffs[u] = row[u]
 
+    res_ids = sorted(res_coeffs)
+    ben_ids = sorted(ben_coeffs)
     return View(
         center=v,
         horizon=r,
         members=tuple(members),
-        resource_coeffs={i: res_coeffs[i] for i in sorted(res_coeffs)},
-        beneficiary_coeffs={k: ben_coeffs[k] for k in sorted(ben_coeffs)},
-        resource_support={
-            i: tuple(instance.resources[i]) for i in sorted(res_coeffs)
-        },
-        beneficiary_support={
-            k: tuple(instance.beneficiaries[k]) for k in sorted(ben_coeffs)
-        },
+        resource_coeffs={i: res_coeffs[i] for i in res_ids},
+        beneficiary_coeffs={k: ben_coeffs[k] for k in ben_ids},
+        resource_support={i: tuple(resources[i]) for i in res_ids},
+        beneficiary_support={k: tuple(beneficiaries[k]) for k in ben_ids},
     )

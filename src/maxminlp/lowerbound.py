@@ -10,6 +10,7 @@ then caps the benefit the rule can have delivered, which bounds from below
 the approximation ratio any such rule can claim.
 """
 
+import math
 import random
 from typing import NamedTuple
 
@@ -367,7 +368,9 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
     resources = dict(enumerate(packing))
     beneficiaries = dict(enumerate(benefit, start=len(packing)))
 
-    instance = Instance(tuple(range(total_agents)), resources, beneficiaries)
+    # the trees' own id objects, which the rows hold too, and already ascending
+    agents = tuple(v for q in template.vertices for level in trees[q].levels for v in level)
+    instance = Instance(agents, resources, beneficiaries)
     meta = LowerBoundMeta(
         r=r,
         n_per_side=n_per_side,
@@ -457,15 +460,47 @@ def _parity_rows_exact(sub_instance, parity, D):
     return True
 
 
+def _certified_ratio(sub_instance, parity, assignment, omega_sub):
+    """The largest float at most what the attack proves about the ratio.
+
+    The parity point, scaled down by its largest resource load when that
+    exceeds one, is feasible, so omega*(sub) is at least its smallest
+    benefit over that load; over omega_alg(sub) this bounds the ratio.  Both
+    are taken exactly from the sub-instance's floats.  The float
+    ``1 / omega_sub`` is kept wherever it is at or below that quotient and
+    stepped down otherwise; an exact omega_alg(sub) of zero or below
+    certifies an unbounded ratio.
+    """
+    from fractions import Fraction
+
+    def exact_sums(rows, x):
+        return (sum(Fraction(c) * Fraction(x[v]) for v, c in row.items()) for row in rows.values())
+
+    omega_alg = min(exact_sums(sub_instance.beneficiaries, assignment.values))
+    if omega_alg <= 0:
+        return "unbounded"
+    load = max(exact_sums(sub_instance.resources, parity.values), default=0)
+    witness = min(exact_sums(sub_instance.beneficiaries, parity.values)) / max(1, load)
+    proven = witness / omega_alg
+    ratio = 1.0 / omega_sub if omega_sub > 0.0 else math.inf
+    if ratio > proven:
+        # float() rounds to nearest, so at most a step down remains
+        ratio = float(proven)
+        while ratio > proven:
+            ratio = math.nextafter(ratio, -math.inf)
+    return ratio
+
+
 def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
     """Run the whole attack and certify a ratio lower bound for ``algorithm``.
 
     Returns the report that ``adversary`` writes, as a JSON-ready dict.
     Refuses algorithms whose horizon exceeds r: the construction only
     guarantees indistinguishability up to radius r.  The certified ratio is
-    1 / omega_alg(sub) because the parity point witnesses an optimum of one
-    on the carved sub-instance; a zero sub-objective certifies an unbounded
-    ratio.
+    about 1 / omega_alg(sub), because the parity point witnesses an optimum
+    of about one on the carved sub-instance; it is written as the largest
+    float at most the exact quotient (see :func:`_certified_ratio`), and a
+    zero sub-objective certifies an unbounded ratio.
     """
     if algorithm.horizon > r:
         raise HorizonTooLargeError(
@@ -521,7 +556,7 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
         "identical_choices": True,
         "omega_alg_full": objective(full, x_full),
         "omega_alg_sub": omega_sub,
-        "certified_ratio": "unbounded" if omega_sub <= 0.0 else 1.0 / omega_sub,
+        "certified_ratio": _certified_ratio(sub, parity, x_sub, omega_sub),
         "parity": {
             "omega": objective(sub, parity),
             "feasible": feasibility(sub, parity)[0],

@@ -49,26 +49,23 @@ class Instance:
             f"beneficiaries={self.beneficiaries!r})"
         )
 
-    def agent_resources(self):
-        """Map agent -> ascending ids of the resource rows covering it."""
-        return self._incidence("I_of", self.resources)
-
-    def agent_beneficiaries(self):
-        """Map agent -> ascending ids of the beneficiary rows drawing on it."""
-        return self._incidence("K_of", self.beneficiaries)
-
-    def _incidence(self, key, rows):
-        got = self._cache.get(key)
-        if got is None:
-            acc = {v: [] for v in self.agents}
-            for rid, row in rows.items():
-                for v in row:
-                    if v in acc:
-                        acc[v].append(rid)
-            for v, ids in acc.items():
-                acc[v] = tuple(ids)
-            got = self._cache[key] = acc
-        return got
+    def agent_rows(self):
+        """Map agent -> the ascending ids of the resource rows covering it,
+        then the ascending ids of the beneficiary rows drawing on it, in one
+        tuple; built on first use and cached."""
+        rows_of = self._cache.get("rows_of")
+        if rows_of is None:
+            rows_of = {v: [] for v in self.agents}
+            for rows in (self.resources, self.beneficiaries):
+                for rid, row in rows.items():
+                    for v in row:
+                        mine = rows_of.get(v)
+                        if mine is not None:
+                            mine.append(rid)
+            for v, ids in rows_of.items():
+                rows_of[v] = tuple(ids)
+            self._cache["rows_of"] = rows_of
+        return rows_of
 
 
 def _check_rows(kind, rows, agent_set, violations):
@@ -104,7 +101,7 @@ def validate(instance):
         return violations
     # the incidence map is keyed by the agents and cached, so it serves as
     # the agent set; agents is sorted, so a repeated id follows its first copy
-    I_of = instance.agent_resources()
+    rows_of = instance.agent_rows()
     violations = []
     previous = None
     for v in instance.agents:
@@ -116,10 +113,12 @@ def validate(instance):
     overlap = instance.resources.keys() & instance.beneficiaries.keys()
     for rid in sorted(overlap):
         violations.append(f"id {rid}: used for both a resource and a beneficiary")
-    _check_rows("resource", instance.resources, I_of, violations)
-    _check_rows("beneficiary", instance.beneficiaries, I_of, violations)
-    for v, ids in I_of.items():
-        if not ids:
+    _check_rows("resource", instance.resources, rows_of, violations)
+    _check_rows("beneficiary", instance.beneficiaries, rows_of, violations)
+    for v, ids in rows_of.items():
+        # resource ids come first, so a covered agent's first id names a
+        # resource row holding it; a beneficiary row may share that id
+        if not ids or v not in instance.resources.get(ids[0], ()):
             violations.append(f"agent {v}: no resource covers it (empty I_v)")
     violations = tuple(violations)
     instance._cache["validation"] = violations
@@ -271,13 +270,11 @@ def load_json(path):
     return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
 
 
-def _rows_text(mapping):
-    """A row list as it sits one level down in an indented, key-sorted dump:
-    ``{"coeffs": {...}, "id": n}``, with the agent keys in string order
-    (``"10"`` before ``"9"``) and each coefficient passed through ``float``."""
-    if not mapping:
-        return "[]"
-    rows = []
+def _row_texts(mapping):
+    """Each row of a row list as it sits one level down in an indented,
+    key-sorted dump: ``{"coeffs": {...}, "id": n}``, with the agent keys in
+    string order (``"10"`` before ``"9"``) and each coefficient passed
+    through ``float``."""
     for rid, row in mapping.items():
         # the closing quote sorts below every digit and "-", so sorting the
         # entries sorts them by key
@@ -291,8 +288,16 @@ def _rows_text(mapping):
                 .replace(": -inf", ": -Infinity")
             )
         coeffs = "{\n        " + coeffs + "\n      }" if entries else "{}"
-        rows.append('{\n      "coeffs": %s,\n      "id": %s\n    }' % (coeffs, rid))
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+        yield '{\n      "coeffs": %s,\n      "id": %s\n    }' % (coeffs, rid)
+
+
+def _write_list(out, items):
+    """Write a top-level list of rendered ``items``, one at a time."""
+    opening = "[\n    "
+    for item in items:
+        out.write(opening + item)
+        opening = ",\n    "
+    out.write("[]" if opening == "[\n    " else "\n  ]")
 
 
 def save_instance(instance, path, extra=None):
@@ -301,21 +306,29 @@ def save_instance(instance, path, extra=None):
 
     The text is rendered straight from the canonical instance: ``json.dumps``
     with ``indent`` set runs its pure-Python encoder over every coefficient,
-    which cost more than building the largest generated instances.  Values
-    of ``extra`` still go through ``json.dumps``.
+    which cost more than building the largest generated instances.  Each
+    section, and each row of a row list, goes to the file as it is
+    rendered, so the writer never holds the file's text.  Values of
+    ``extra`` still go through ``json.dumps``.
     """
-    agents = ",\n    ".join(map(str, instance.agents))
-    sections = {
-        "agents": "[\n    " + agents + "\n  ]" if instance.agents else "[]",
-        "beneficiaries": _rows_text(instance.beneficiaries),
-        "resources": _rows_text(instance.resources),
+    rows = {"beneficiaries": instance.beneficiaries, "resources": instance.resources}
+    # json escapes newlines inside strings, so every newline is layout
+    texts = {
+        key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        for key, value in (extra or {}).items()
     }
-    for key, value in (extra or {}).items():
-        text = json.dumps(value, indent=2, sort_keys=True)
-        # json escapes newlines inside strings, so every newline is layout
-        sections[key] = text.replace("\n", "\n  ")
-    body = ",\n  ".join(f"{json.dumps(key)}: {sections[key]}" for key in sorted(sections))
-    Path(path).write_text("{\n  " + body + "\n}\n")
+    with Path(path).open("w") as out:
+        opening = "{\n  "
+        for key in sorted({"agents", *rows, *texts}):
+            out.write(f"{opening}{json.dumps(key)}: ")
+            if key in texts:
+                out.write(texts[key])
+            elif key in rows:
+                _write_list(out, _row_texts(rows[key]))
+            else:
+                _write_list(out, map(str, instance.agents))
+            opening = ",\n  "
+        out.write("\n}\n")
 
 
 def load_instance(path):

@@ -193,6 +193,20 @@ def test_gen_lowerbound_and_adversary(tmp_path):
     assert payload["parity"]["rows_exact"] is True
 
 
+@pytest.mark.parametrize("D, printed, written", [
+    (4, "1.59999999999", 1.5999999999999999),
+    (5, "1.66666666666", 1.6666666666666665),
+])
+def test_adversary_prints_and_writes_no_more_than_it_proves(tmp_path, D, printed, written):
+    # to nearest, .12g would print 1.6 and 1.66666666667, above what is proven
+    report_path = tmp_path / "adv.json"
+    proc = cli("adversary", "--algorithm", "safe", "-d", "1", "-D", str(D),
+               "-r", "1", "-R", "2", "--seed", "0", "-o", str(report_path))
+    assert proc.returncode == 0, proc.stderr
+    assert f"certified ratio >= {printed}\n" in proc.stdout
+    assert json.loads(report_path.read_text())["certified_ratio"] == written
+
+
 def test_adversary_unbounded_serialisation(tmp_path):
     report_path = tmp_path / "adv.json"
     proc = cli("adversary", "--algorithm", "zero", "-d", "1", "-D", "1",

@@ -52,7 +52,7 @@ def test_domain_mismatch_raises():
 def test_domain_check_builds_no_agent_keyed_scratch():
     inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
     x = Assignment({v: 0.1 for v in inst.agents})
-    validate(inst)  # builds and caches the incidence maps, as loading does
+    validate(inst)  # builds and caches the incidence map, as loading does
     tracemalloc.start()
     try:
         agent_set = set(inst.agents)
@@ -67,6 +67,23 @@ def test_domain_check_builds_no_agent_keyed_scratch():
     assert peak < one_set, (peak, one_set)
     # the check keeps set semantics: the order of the keys does not matter
     assert feasibility(inst, Assignment(dict(reversed(x.values.items()))))[0]
+
+
+def test_objective_keeps_no_benefit_per_row():
+    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
+    x = Assignment({v: 0.1 for v in inst.agents})
+    validate(inst)
+    tracemalloc.start()
+    try:
+        got = benefits(inst, x)
+        every_benefit, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        omega = objective(inst, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert omega == min(got.values())
+    assert peak - every_benefit < every_benefit / 10, (peak, every_benefit)
 
 
 def test_benefits_and_objective_exact():

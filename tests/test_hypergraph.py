@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from fractions import Fraction
 
@@ -63,6 +64,9 @@ def test_adjacency_peak_stays_near_what_it_keeps():
     # one neighbour set at a time: the builder's scratch is the per-agent
     # row lists, not a set per agent next to the finished tuples
     inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
+    # a full collection empties the tuple free lists; tuples that earlier
+    # tests left there would come back untraced and shrink what it keeps
+    gc.collect()
     tracemalloc.start()
     try:
         adj = adjacency(inst.resources, inst.beneficiaries, inst.agents)

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -306,6 +308,18 @@ def test_type_two_rows_share_one_coefficient_object():
     assert len({id(c) for c in shares}) == 1
 
 
+def test_agents_are_the_id_objects_the_rows_hold():
+    # the instance keeps one object per id: the trees' own, which the rows key on
+    inst, _ = built()
+    held = {}
+    for rows in (inst.resources, inst.beneficiaries):
+        for row in rows.values():
+            for v in row:
+                held.setdefault(v, []).append(v)
+    assert sorted(held) == list(inst.agents)
+    assert all(obj is v for v in inst.agents for obj in held[v])
+
+
 def test_adversarial_instance_is_deterministic():
     a, meta_a = built()
     b, meta_b = built()
@@ -519,6 +533,28 @@ def test_attack_with_wide_benefit_rows():
     assert report["parity"]["rows_exact"]
     assert report["level_inequalities_ok"]
     assert report["certified_ratio"] >= report["theoretical_floor"] - 1e-9
+
+
+def _exact_sums(rows, x):
+    return [sum(Fraction(c) * Fraction(x[v]) for v, c in row.items()) for row in rows.values()]
+
+
+@pytest.mark.parametrize("d, D", [(1, D) for D in range(1, 8)] + [(2, 1), (2, 2)])
+def test_certified_ratio_is_the_largest_float_at_most_the_proven_ratio(d, D):
+    # 1 / omega_alg(sub) in floats came out an ulp or two above the exact
+    # (smallest parity benefit) / omega_alg(sub) at d = 1 and D = 4 to 7
+    safe = make_algorithm("safe")
+    report = adversarial_lower_bound(safe, d, D, 1, 2, seed=0)
+    full, meta = build_adversarial_instance(d, D, 1, 2, seed=0)
+    sub, p, _ = select_hard_subinstance(full, meta, run_local(full, safe))
+    x_sub = run_local(sub, safe)
+    parity = parity_solution(sub, meta.tree_levels[p][0][0])
+    assert max(_exact_sums(sub.resources, parity.values)) == 1
+    proven = min(_exact_sums(sub.beneficiaries, parity.values)) / min(
+        _exact_sums(sub.beneficiaries, x_sub.values)
+    )
+    ratio = report["certified_ratio"]
+    assert Fraction(ratio) <= proven < Fraction(math.nextafter(ratio, math.inf))
 
 
 def test_ratio_floor_never_undercuts_observed_attacks():

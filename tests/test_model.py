@@ -49,10 +49,10 @@ def test_construction_canonicalises_order():
     assert inst == chain()
 
 
-def test_participation_maps():
+def test_agent_rows_lists_resource_ids_then_beneficiary_ids():
     inst = chain()
-    assert inst.agent_resources() == {0: (0,), 1: (0,), 2: (1, 2), 3: (1,)}
-    assert inst.agent_beneficiaries() == {0: (11,), 1: (10,), 2: (10,), 3: (12,)}
+    assert inst.agent_rows() == {0: (0, 11), 1: (0, 10), 2: (1, 2, 10), 3: (1, 12)}
+    assert inst.agent_rows() is inst.agent_rows()
 
 
 def test_validate_clean_instance_and_its_degree_maxima():
@@ -89,7 +89,17 @@ def test_validate_flags_each_defect(mutate, fragment):
 
 def test_validate_flags_uncovered_agent():
     inst = Instance((0, 1), {0: {0: 1.0}}, {1: {1: 1.0}})
-    assert any("empty I_v" in line for line in validate(inst))
+    assert validate(inst) == ("agent 1: no resource covers it (empty I_v)",)
+
+
+def test_validate_flags_an_agent_held_only_by_a_beneficiary_sharing_a_resource_id():
+    # agent 1's first row id, 5, names a resource too, but that resource holds agent 0 only
+    inst = Instance((0, 1), {5: {0: 1.0}}, {5: {1: 1.0}})
+    assert inst.agent_rows() == {0: (5,), 1: (5,)}
+    assert validate(inst) == (
+        "id 5: used for both a resource and a beneficiary",
+        "agent 1: no resource covers it (empty I_v)",
+    )
 
 
 def test_restrict_strict_keeps_fully_inside_rows():
@@ -147,7 +157,7 @@ def test_restrict_builds_no_agent_keyed_scratch():
 
 def test_validate_builds_no_agent_keyed_scratch():
     inst, one_set = _torus_and_one_agent_set()
-    validate(inst)  # builds and caches the incidence maps, as loading does
+    validate(inst)  # builds and caches the incidence map, as loading does
     inst._cache.pop("validation")
     violations, kept, peak = _traced(lambda: validate(inst))
     assert violations == ()
@@ -225,6 +235,15 @@ def test_save_instance_writes_what_json_dumps_writes(agents, resources, benefici
         path = Path(tmp, "inst.json")
         save_instance(inst, path, extra=extra)
         assert path.read_text() == want + "\n"
+
+
+def test_save_instance_never_holds_the_file_text(tmp_path):
+    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
+    path = tmp_path / "torus.json"
+    _, kept, peak = _traced(lambda: save_instance(inst, path))
+    size = path.stat().st_size
+    # each row goes to the file as it is rendered: the scratch is a row, not the text
+    assert peak - kept < size / 2, (peak - kept, size)
 
 
 def two_agents(resources=None, beneficiaries=None):
