@@ -122,9 +122,11 @@ def evaluate(instance, assignment, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
 
     certificate = None
     if R is not None:
-        from .hypergraph import growth_factor
+        from .hypergraph import growth_factors
 
-        certificate = float(growth_factor(instance, R - 1) * growth_factor(instance, R))
+        # one walk per agent gives both factors
+        below, at = growth_factors(instance, R - 1, R)
+        certificate = float(below * at)
 
     return EvaluationReport(
         feasible=feasible,

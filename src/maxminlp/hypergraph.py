@@ -1,26 +1,35 @@
-"""Communication structure of an instance: adjacency, distances, balls, views.
+"""Communication structure of an instance: incidence walks, balls, views.
 
 Two agents are adjacent when some row's support holds both, and distance
-counts row hops.  The graph layer is :func:`adjacency`, the one builder of
-that adjacency (for an instance's rows and a view's support lists alike),
-:func:`distances`, the one breadth-first search over it, and :func:`ball`.
-Growth factors, views, the local algorithms' subproblems, the adversary's
-carve and its template's girth all walk through :func:`distances`.  Only
-the template greedy keeps a search of its own, the bitmask steps of
-``lowerbound._PartialTemplate.rights_within``, which build the template
-several times faster.  An agent's radius-r knowledge is a :class:`View`.
+counts row hops.  The graph is never built as agent -> neighbours; every
+walk goes through an *incidence*, the triple ``(rows_of, resources,
+beneficiaries)``: ``rows_of`` maps a node to the ids of its rows, and the
+other two map a row id to its support.  :func:`incidence` gives an
+instance's, from :meth:`~maxminlp.model.Instance.agent_rows`, and the local
+averaging algorithm builds one per view from the view's support lists.
+:func:`distances` is the one breadth-first search over an incidence, and
+:func:`ball` wraps it.  Growth factors, views, the local algorithms'
+balls, the adversary's carve and its template's girth all walk through
+:func:`distances`.  Only the template greedy keeps a search of its own, the
+bitmask steps of ``lowerbound._PartialTemplate.rights_within``, which build
+the template several times faster.  An agent's radius-r knowledge is a
+:class:`View`.
 """
 
 from typing import NamedTuple
 
 
-def distances(adj, start, limit=None):
-    """Hop distances from ``start`` over ``adj``, none beyond ``limit``.
+def distances(incidence, start, limit=None):
+    """Hop distances from ``start`` over ``incidence``, none beyond ``limit``.
 
-    ``adj`` maps a node to its neighbours; a node it does not list has none.
-    The search goes level by level and expands nothing at depth ``limit``,
-    so the nodes come out in nondecreasing depth.
+    ``incidence`` is ``(rows_of, resources, beneficiaries)``; a row id the
+    resources hold is a resource's.  The search goes level by level and
+    expands nothing at depth ``limit``, so the nodes come out in
+    nondecreasing depth.  A node is expanded by walking its rows' supports,
+    and ``dist`` alone drops what was reached before.  A support naming a
+    node that ``rows_of`` does not know is refused.
     """
+    rows_of, resources, beneficiaries = incidence
     dist = {start: 0}
     frontier = [start]
     depth = 0
@@ -28,56 +37,65 @@ def distances(adj, start, limit=None):
         depth += 1
         reached = []
         for u in frontier:
-            for w in adj.get(u, ()):
-                if w not in dist:
-                    dist[w] = depth
-                    reached.append(w)
+            for i in rows_of[u]:
+                row = resources.get(i)
+                if row is None:
+                    row = beneficiaries[i]
+                for w in row:
+                    if w not in dist:
+                        if w not in rows_of:
+                            kind = "resource" if i in resources else "beneficiary"
+                            raise ValueError(f"{kind} {i} references unknown agent {w}")
+                        dist[w] = depth
+                        reached.append(w)
         frontier = reached
     return dist
 
 
-def adjacency(resources, beneficiaries, agents=None):
-    """Agent -> ascending tuple of the other agents that share a row with it.
-
-    ``resources`` and ``beneficiaries`` map a row id to its support.  Given
-    ``agents``, each of them is listed, one in no row too, and a support
-    naming another agent is refused; else the supports name the agents.
-    Each agent's rows are collected first and then turned into its tuple
-    one agent at a time, so at most one neighbour set is alive at a time.
-    """
-    adj = {} if agents is None else {v: [] for v in agents}
-    for kind, rows in (("resource", resources), ("beneficiary", beneficiaries)):
-        for rid, row in rows.items():
-            for v in row:
-                mine = adj.get(v)
-                if mine is None:
-                    if agents is not None:
-                        raise ValueError(f"{kind} {rid} references unknown agent {v}")
-                    mine = adj[v] = []
-                mine.append(row)
-    for v, mine in adj.items():
-        neighbours = set().union(*mine)
-        neighbours.discard(v)
-        adj[v] = tuple(sorted(neighbours))
-    return adj
+def incidence(instance):
+    """The instance's incidence for :func:`distances`: its cached
+    :meth:`~maxminlp.model.Instance.agent_rows` and its two row maps."""
+    return instance.agent_rows(), instance.resources, instance.beneficiaries
 
 
-def hypergraph(instance):
-    """The adjacency of the instance's agents, built on first use and cached."""
-    adj = instance._cache.get("hypergraph")
-    if adj is None:
-        adj = adjacency(instance.resources, instance.beneficiaries, instance.agents)
-        instance._cache["hypergraph"] = adj
-    return adj
-
-
-def ball(adj, v, r):
-    """The agents within ``r`` hops of ``v`` over ``adj``, ``v`` included."""
+def ball(incidence, v, r):
+    """The nodes within ``r`` hops of ``v`` over ``incidence``, ``v`` included."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if v not in adj:
+    if v not in incidence[0]:
         raise ValueError(f"unknown agent id {v}")
-    return frozenset(distances(adj, v, r))
+    return frozenset(distances(incidence, v, r))
+
+
+def growth_factors(instance, first, last):
+    """[gamma(first), ..., gamma(last)], gamma(r) = max_v |B(v, r+1)| / |B(v, r)|,
+    each an exact rational.
+
+    One walk per agent to radius ``last + 1`` gives every ball size the
+    factors need.  The maxima are kept as integer pairs, compared by cross
+    multiplication, and each becomes a ``Fraction`` once.
+    """
+    if not instance.agents:
+        raise ValueError("growth factor of an empty instance is undefined")
+    if first < 0:
+        raise ValueError("radius must be nonnegative")
+    from fractions import Fraction
+
+    inc = incidence(instance)
+    # best[s - first]: the largest |B(v, s+1)|, |B(v, s)| pair so far
+    best = [(0, 1)] * (last - first + 1)
+    for v in instance.agents:
+        sizes = [0] * (last + 2)
+        for depth in distances(inc, v, last + 1).values():
+            sizes[depth] += 1
+        inner = sum(sizes[:first + 1])
+        for s in range(first, last + 1):
+            outer = inner + sizes[s + 1]
+            top, bottom = best[s - first]
+            if outer * bottom > top * inner:
+                best[s - first] = (outer, inner)
+            inner = outer
+    return [Fraction(top, bottom) for top, bottom in best]
 
 
 def growth_factor(instance, r):
@@ -86,18 +104,7 @@ def growth_factor(instance, r):
     Measures how much a one-hop horizon extension can inflate what an agent
     sees; the guarantees of the averaging algorithm are stated against it.
     """
-    if not instance.agents:
-        raise ValueError("growth factor of an empty instance is undefined")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    from fractions import Fraction
-
-    adj = hypergraph(instance)
-    best = Fraction(0)
-    for v in instance.agents:
-        dist = distances(adj, v, r + 1)
-        best = max(best, Fraction(len(dist), sum(1 for d in dist.values() if d <= r)))
-    return best
+    return growth_factors(instance, r, r)[0]
 
 
 class View(NamedTuple):
@@ -127,7 +134,7 @@ def extract_view(instance, v, r):
     gets or creates each row's coefficients once per member; a row id is a
     resource's when the resources hold it, which validity makes exact.
     """
-    members = sorted(ball(hypergraph(instance), v, r))
+    members = sorted(ball(incidence(instance), v, r))
     rows_of = instance.agent_rows()
     resources = instance.resources
     beneficiaries = instance.beneficiaries

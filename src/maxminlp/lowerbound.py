@@ -15,7 +15,7 @@ import random
 from typing import NamedTuple
 
 from .evaluation import feasibility, objective
-from .hypergraph import ball, distances, hypergraph
+from .hypergraph import ball, distances, incidence
 from .model import Assignment, Instance, InvalidInstanceError, restrict
 from .algorithms import run_local
 
@@ -122,11 +122,15 @@ def _graph_girth(adj):
     node with two parents, on a cycle of at most 2d.  From a root on a
     shortest cycle, its antipode is such a node at half the girth.  Rings
     come from :func:`distances`, which lists nodes in nondecreasing depth,
-    and only as deep as a shorter cycle could close.
+    and only as deep as a shorter cycle could close.  It walks ``adj`` as
+    the incidence in which each vertex holds one row, keyed by the vertex,
+    whose support is the vertex's neighbours: one step through that row is
+    one edge.
     """
+    graph = ({q: (q,) for q in adj}, adj, {})
     best = None
     for root in adj:
-        dist = distances(adj, root, None if best is None else best // 2 - 1)
+        dist = distances(graph, root, None if best is None else best // 2 - 1)
         deepest = next(reversed(dist.values()))
         # surplus[d]: edges from ring d - 1 down to ring d, less ring d's nodes
         surplus = [0] * (deepest + 1)
@@ -338,44 +342,42 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
 
     template = build_regular_bipartite(degree, 4 * r + 2, n_per_side, seed)
 
-    trees = {}
-    next_id = 0
-    for q in template.vertices:
-        trees[q] = build_hypertree(d, D, height, first_id=next_id)
-        next_id += per_tree
-
-    # pair leaves along template edges: vertex q's leaves, in level order,
-    # follow its incident edges sorted by the opposite endpoint, which is the
-    # order one pass over the sorted (left, right) edge list reaches them in
-    leaves = {q: iter(trees[q].leaves) for q in template.vertices}
-    leaf_pair = {}
-    type3 = []
-    for u, w in template.edges:
-        left_leaf, right_leaf = next(leaves[u]), next(leaves[w])
-        leaf_pair[left_leaf] = right_leaf
-        leaf_pair[right_leaf] = left_leaf
-        type3.append((left_leaf, right_leaf))
-
+    # each tree's edges become rows as soon as the tree is built, so only
+    # its levels outlive it
     share = 1.0 / D  # one float object shared by every type-II entry
     packing, benefit = [], []
+    tree_levels = {}
     for q in template.vertices:
-        for kind, members in trees[q].edges:
+        tree = build_hypertree(d, D, height, first_id=q * per_tree)
+        for kind, members in tree.edges:
             if kind == "I":
                 packing.append({v: 1.0 for v in members})
             else:
                 benefit.append({v: share for v in members})
-    benefit += [{v: 1.0 for v in pair} for pair in type3]
-    resources = dict(enumerate(packing))
-    beneficiaries = dict(enumerate(benefit, start=len(packing)))
+        tree_levels[q] = tree.levels
+
+    # pair leaves along template edges: vertex q's leaves, in level order,
+    # follow its incident edges sorted by the opposite endpoint, which is the
+    # order one pass over the sorted (left, right) edge list reaches them in
+    leaves = {q: iter(levels[-1]) for q, levels in tree_levels.items()}
+    leaf_pair = {}
+    for u, w in template.edges:
+        left_leaf, right_leaf = next(leaves[u]), next(leaves[w])
+        leaf_pair[left_leaf] = right_leaf
+        leaf_pair[right_leaf] = left_leaf
+        benefit.append({left_leaf: 1.0, right_leaf: 1.0})
 
     # the trees' own id objects, which the rows hold too, and already ascending
-    agents = tuple(v for q in template.vertices for level in trees[q].levels for v in level)
+    agents = tuple(v for levels in tree_levels.values() for level in levels for v in level)
+    resources = dict(enumerate(packing))
+    beneficiaries = dict(enumerate(benefit, start=len(packing)))
+    del packing, benefit
     instance = Instance(agents, resources, beneficiaries)
     meta = LowerBoundMeta(
         r=r,
         n_per_side=n_per_side,
         template=template,
-        tree_levels={q: trees[q].levels for q in template.vertices},
+        tree_levels=tree_levels,
         leaf_pair=leaf_pair,
     )
     return instance, meta
@@ -407,9 +409,9 @@ def select_hard_subinstance(instance, meta, assignment):
     p = min(q for q, value in delta.items() if value == best)
 
     keep = set(meta.tree_agents(p))
-    adj = hypergraph(instance)
+    inc = incidence(instance)
     for leaf in meta.tree_levels[p][-1]:
-        keep |= ball(adj, leaf, 2 * meta.r)
+        keep |= ball(inc, leaf, 2 * meta.r)
     return restrict(instance, keep), p, delta
 
 
@@ -420,7 +422,7 @@ def parity_solution(sub_instance, root):
     benefit rows alternate along every root path, and this point meets every
     row with exactly one unit -- witnessing an optimum of one.
     """
-    dist = distances(hypergraph(sub_instance), root)
+    dist = distances(incidence(sub_instance), root)
     missing = set(sub_instance.agents) - set(dist)
     if missing:
         raise ArithmeticError(

@@ -17,10 +17,11 @@ from maxminlp.algorithms import (
     make_algorithm,
     run_local,
     view_ball,
+    view_incidence,
 )
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.hypergraph import adjacency, extract_view, growth_factor
+from maxminlp.hypergraph import extract_view, growth_factor
 from maxminlp.lp import solve_maxmin
 from maxminlp.model import Instance
 
@@ -75,25 +76,22 @@ def test_zero_algorithm_is_trivially_feasible():
     assert feasibility(inst, out)[0]
 
 
-def view_adjacency(view):
-    return adjacency(view.resource_support, view.beneficiary_support)
-
-
 def test_view_adjacency_spans_identity_lists():
     view = extract_view(path4(), 1, 1)
-    adj = view_adjacency(view)
+    rows_of, resources, beneficiaries = view_incidence(view)
     # agent 3 is not a member, but its identity arrives via resource 1
-    assert adj == {0: (1,), 1: (0, 2), 2: (1, 3), 3: (2,)}
+    assert rows_of == {0: [0, 3], 1: [0, 2], 2: [1, 2], 3: [1]}
+    assert (resources, beneficiaries) == (view.resource_support, view.beneficiary_support)
 
 
 def test_view_ball_enforces_locality():
     view = extract_view(path4(), 1, 1)
-    adj = view_adjacency(view)
-    assert view_ball(view, adj, 1, 1) == frozenset({0, 1, 2})
+    inc = view_incidence(view)
+    assert view_ball(view, inc, 1, 1) == frozenset({0, 1, 2})
     with pytest.raises(LocalAlgorithmError):
-        view_ball(view, adj, 3, 1)  # start outside the members
+        view_ball(view, inc, 3, 1)  # start outside the members
     with pytest.raises(LocalAlgorithmError):
-        view_ball(view, adj, 1, 2)  # radius 2 would need agent 3's edges
+        view_ball(view, inc, 1, 2)  # radius 2 would need agent 3's edges
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,9 +117,9 @@ def test_view_ball_is_the_true_ball_inside_an_averaging_view(n_agents, max_suppo
     inst = gen_random(n_agents, max_support, seed=seed)
     center = inst.agents[seed % len(inst.agents)]
     view = extract_view(inst, center, 2 * R + 1)
-    adj = view_adjacency(view)
+    inc = view_incidence(view)
     for u in oracles.ball(inst, center, R):
-        assert view_ball(view, adj, u, R) == oracles.ball(inst, u, R)
+        assert view_ball(view, inc, u, R) == oracles.ball(inst, u, R)
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,20 +133,21 @@ def test_view_ball_raises_exactly_when_the_ball_leaves_the_view(
     inst = gen_random(n_agents, max_support, seed=seed)
     center = inst.agents[seed % len(inst.agents)]
     view = extract_view(inst, center, horizon)
-    adj = view_adjacency(view)
+    inc = view_incidence(view)
     members = set(view.members)
     for u in view.members:
         want = oracles.ball(inst, u, radius)
         if want <= members:
-            assert view_ball(view, adj, u, radius) == want
+            assert view_ball(view, inc, u, radius) == want
         else:
             with pytest.raises(LocalAlgorithmError, match="leaves the view"):
-                view_ball(view, adj, u, radius)
+                view_ball(view, inc, u, radius)
 
 
 def test_local_subproblem_clips_resources_keeps_inside_benefits():
     view = extract_view(path4(), 1, 2)
-    assert local_subproblem(view, {0, 1, 2}) == (
+    rows_of = view_incidence(view)[0]
+    assert local_subproblem(view, {0, 1, 2}, rows_of) == (
         (0, 1, 2),
         ((0, ((0, 1.0), (1, 1.0))), (1, ((2, 1.0),))),
         ((2, ((1, 1.0), (2, 1.0))), (3, ((0, 1.0),))),
@@ -365,16 +364,16 @@ def test_one_walk_per_ball_and_one_instance_per_distinct_ball_lp(torus11, monkey
 def test_memo_key_is_the_subproblem_and_a_given_ball_changes_nothing(torus11):
     R = 2
     view = extract_view(torus11, 0, 2 * R + 1)
-    adj = view_adjacency(view)
+    inc = view_incidence(view)
     for u in sorted(oracles.ball(torus11, 0, R)):
-        ball = view_ball(view, adj, u, R)
+        ball = view_ball(view, inc, u, R)
         token = algorithms._BALL_LP_MEMO.set({})
         try:
             got = local_lp_solution(view, u, R, ball)
             memo = algorithms._BALL_LP_MEMO.get()
         finally:
             algorithms._BALL_LP_MEMO.reset(token)
-        assert list(memo) == [local_subproblem(view, ball)]
+        assert list(memo) == [local_subproblem(view, ball, inc[0])]
         assert got == local_lp_solution(view, u, R)
 
 

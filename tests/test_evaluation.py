@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -5,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from maxminlp import lp
+from maxminlp import hypergraph, lp
+from maxminlp.cli import main
 from maxminlp.evaluation import (
     EvaluationReport,
     benefits,
@@ -15,8 +17,15 @@ from maxminlp.evaluation import (
     write_reports_csv,
 )
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.hypergraph import ball, growth_factor, hypergraph
-from maxminlp.model import Assignment, Instance, validate
+from maxminlp.hypergraph import ball, growth_factor, incidence
+from maxminlp.model import (
+    Assignment,
+    Instance,
+    assignment_to_dict,
+    dump_json,
+    save_instance,
+    validate,
+)
 
 
 def pair():
@@ -236,8 +245,8 @@ def test_locality_profile_matches_independent_balls(seed, R):
     # the reference profile against statistics rebuilt from the package's balls
     inst = gen_random(10, 3, seed=seed)
     profile = oracles.locality_profile(inst, R)
-    adj = hypergraph(inst)
-    balls = {v: ball(adj, v, R) for v in inst.agents}
+    inc = incidence(inst)
+    balls = {v: ball(inc, v, R) for v in inst.agents}
     beta = None
     for i, row in inst.resources.items():
         n_i = min(len(balls[v]) for v in row)
@@ -267,3 +276,25 @@ def test_growth_certificate_dominates_profile_exactly(seed, R):
     assert beta >= 1 / growth_factor(inst, R)
     assert skew >= 1 / growth_factor(inst, R - 1)
     assert beta * skew >= 1 / (growth_factor(inst, R - 1) * growth_factor(inst, R))
+
+
+def test_the_certificate_walks_from_each_agent_once(tmp_path, monkeypatch):
+    # gamma(R-1) and gamma(R) come from one walk to radius R + 1 per agent
+    inst = gen_random(30, 3, seed=4)
+    save_instance(inst, tmp_path / "inst.json")
+    x = Assignment({v: 0.1 for v in inst.agents})
+    dump_json(assignment_to_dict(x), tmp_path / "x.json")
+    starts = []
+    real = hypergraph.distances
+
+    def counted(inc, start, limit=None):
+        starts.append((start, limit))
+        return real(inc, start, limit)
+
+    monkeypatch.setattr(hypergraph, "distances", counted)
+    out = tmp_path / "report.json"
+    argv = ["eval", str(tmp_path / "inst.json"), str(tmp_path / "x.json"), "--radius", "2"]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert starts == [(v, 3) for v in inst.agents]
+    expected = float(oracles.growth(inst, 1) * oracles.growth(inst, 2))
+    assert json.loads(out.read_text())["certificate"] == expected

@@ -1,5 +1,3 @@
-import gc
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from maxminlp.generators import TorusParams, gen_random, gen_torus
 from maxminlp.hypergraph import (
-    adjacency,
     ball,
     distances,
     extract_view,
     growth_factor,
-    hypergraph,
+    growth_factors,
+    incidence,
 )
 from maxminlp.model import Instance
 
@@ -27,74 +25,65 @@ def path4():
 
 
 def test_unknown_agent_in_support_is_rejected():
+    # the walk refuses the row as it reaches the agent, and names both
     bad = Instance((0,), {0: {0: 1.0, 7: 1.0}}, {1: {0: 1.0}})
     with pytest.raises(ValueError, match="resource 0 references unknown agent 7"):
-        hypergraph(bad)
+        distances(incidence(bad), 0)
+    worse = Instance((0,), {0: {0: 1.0}}, {1: {0: 1.0, 5: 1.0}})
+    with pytest.raises(ValueError, match="beneficiary 1 references unknown agent 5"):
+        ball(incidence(worse), 0, 1)
 
 
 def test_an_agent_in_no_row_is_still_known():
-    adj = hypergraph(Instance((0, 1, 2), {0: {0: 1.0, 2: 1.0}}, {}))
-    assert adj == {0: (2,), 1: (), 2: (0,)}
-    assert ball(adj, 1, 3) == frozenset({1})
+    inc = incidence(Instance((0, 1, 2), {0: {0: 1.0, 2: 1.0}}, {}))
+    assert distances(inc, 1) == {1: 0}
+    assert ball(inc, 1, 3) == frozenset({1})
+    assert ball(inc, 0, 3) == frozenset({0, 2})
 
 
 def test_distances_on_the_path():
-    adj = hypergraph(path4())
-    assert distances(adj, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert distances(adj, 0, limit=1) == {0: 0, 1: 1}
-    assert ball(adj, 1, 1) == frozenset({0, 1, 2})
-    assert ball(adj, 3, 2) == frozenset({1, 2, 3})
+    inc = incidence(path4())
+    assert distances(inc, 0) == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert distances(inc, 0, limit=1) == {0: 0, 1: 1}
+    assert ball(inc, 1, 1) == frozenset({0, 1, 2})
+    assert ball(inc, 3, 2) == frozenset({1, 2, 3})
     with pytest.raises(ValueError, match="unknown agent id 99"):
-        ball(adj, 99, 0)
+        ball(inc, 99, 0)
     with pytest.raises(ValueError, match="radius must be nonnegative"):
-        ball(adj, 0, -1)
+        ball(inc, 0, -1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6))
 def test_adjacency_matches_the_row_oracle_as_ascending_tuples(n_agents, max_support, seed):
+    # the radius-1 neighbours of the walk are the agents sharing a row
     inst = gen_random(n_agents, max_support, seed=seed)
-    adj = hypergraph(inst)
+    inc = incidence(inst)
     expected = oracles.row_adjacency(inst)
-    assert list(adj) == list(inst.agents)
-    assert adj == {v: tuple(sorted(expected[v])) for v in inst.agents}
-
-
-def test_adjacency_peak_stays_near_what_it_keeps():
-    # one neighbour set at a time: the builder's scratch is the per-agent
-    # row lists, not a set per agent next to the finished tuples
-    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
-    # a full collection empties the tuple free lists; tuples that earlier
-    # tests left there would come back untraced and shrink what it keeps
-    gc.collect()
-    tracemalloc.start()
-    try:
-        adj = adjacency(inst.resources, inst.beneficiaries, inst.agents)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(adj) == 3600
-    assert peak <= 2 * kept, (peak, kept)
+    for v in inst.agents:
+        dist = distances(inc, v, 1)
+        assert set(dist) - {v} == expected[v]
+        assert ball(inc, v, 1) == expected[v] | {v}
 
 
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_balls_match_set_expansion_oracle(seed, r):
     inst = gen_random(10, 3, seed=seed)
-    adj = hypergraph(inst)
+    inc = incidence(inst)
     for v in inst.agents:
-        assert set(ball(adj, v, r)) == oracles.ball(inst, v, r)
+        assert set(ball(inc, v, r)) == oracles.ball(inst, v, r)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6))
 def test_distances_match_set_expansion_at_every_radius(n_agents, max_support, seed):
     inst = gen_random(n_agents, max_support, seed=seed)
-    adj = hypergraph(inst)
+    inc = incidence(inst)
     for v in inst.agents:
         inner = set()
         for r in range(5):
-            dist = distances(adj, v, r)
+            dist = distances(inc, v, r)
             ball = oracles.ball(inst, v, r)
             assert set(dist) == ball
             # the new ring of the ball sits exactly r hops out
@@ -107,6 +96,13 @@ def test_distances_match_set_expansion_at_every_radius(n_agents, max_support, se
 def test_growth_factor_matches_oracle(seed, r):
     inst = gen_random(9, 3, seed=seed)
     assert growth_factor(inst, r) == oracles.growth(inst, r)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_growth_factors_from_one_walk_match_each_factor(seed):
+    inst = gen_random(9, 3, seed=seed)
+    assert growth_factors(inst, 0, 3) == [oracles.growth(inst, r) for r in range(4)]
+    assert growth_factors(inst, 2, 2) == [growth_factor(inst, 2)]
 
 
 def test_growth_factor_exact_values_on_small_tori():

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -318,6 +320,39 @@ def test_agents_are_the_id_objects_the_rows_hold():
                 held.setdefault(v, []).append(v)
     assert sorted(held) == list(inst.agents)
     assert all(obj is v for v in inst.agents for obj in held[v])
+
+
+def test_adversarial_build_peaks_near_what_it_keeps():
+    # each tree's edges become rows at once and only its levels are kept,
+    # so the peak is what it keeps plus about one copy of the rows, which
+    # the instance makes of them (holding the trees' edges too peaked at 1.9x)
+    gc.collect()  # earlier tests' tuples in the free lists would go untraced
+    tracemalloc.start()
+    try:
+        built = build_adversarial_instance(2, 2, 1, 2, 0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(built[0].agents) == 24_000
+    assert peak <= 1.75 * kept, (peak, kept, peak / kept)
+
+
+def test_the_attack_caches_no_neighbour_map(monkeypatch):
+    # walks go over the instance's one incidence map; no agent -> neighbours
+    # map is built next to it and kept for the instance's life
+    made = []
+
+    def keeping(*args, **kwargs):
+        made.append(build_adversarial_instance(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(lowerbound, "build_adversarial_instance", keeping)
+    adversarial_lower_bound(make_algorithm("safe"), 2, 1, 1, 2, seed=0)
+    full, _ = made[0]
+    assert set(full._cache) == {"rows_of", "validation"}
+    rows_of = full.agent_rows()
+    row_ids = full.resources.keys() | full.beneficiaries.keys()
+    assert all(set(ids) <= row_ids for ids in rows_of.values())
 
 
 def test_adversarial_instance_is_deterministic():

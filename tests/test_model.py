@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from maxminlp import algorithms
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.hypergraph import ball, hypergraph
+from maxminlp.hypergraph import ball, incidence
 from maxminlp.model import (
     Assignment,
     Instance,
@@ -149,7 +149,7 @@ def _torus_and_one_agent_set():
 
 def test_restrict_builds_no_agent_keyed_scratch():
     inst, one_set = _torus_and_one_agent_set()
-    keep = ball(hypergraph(inst), 0, 2)
+    keep = ball(incidence(inst), 0, 2)
     sub, kept, peak = _traced(lambda: restrict(inst, keep))
     assert sub.agents == tuple(sorted(keep))
     assert peak - kept < one_set, (peak, kept, one_set)
