@@ -130,37 +130,39 @@ class View(NamedTuple):
 def extract_view(instance, v, r):
     """Agent ``v``'s radius-``r`` :class:`View` of a valid instance.
 
-    One pass over the members' rows of :meth:`~maxminlp.model.Instance.agent_rows`
-    gets or creates each row's coefficients once per member; a row id is a
-    resource's when the resources hold it, which validity makes exact.
+    The members' row ids are sorted once and each row's entries made in that
+    order; one pass over the members, ascending, then fills in their
+    coefficients.  A row id is a resource's when the resources hold it, which
+    validity makes exact.
     """
     members = sorted(ball(incidence(instance), v, r))
     rows_of = instance.agent_rows()
     resources = instance.resources
     beneficiaries = instance.beneficiaries
 
-    res_coeffs = {}
-    ben_coeffs = {}
+    res_coeffs, ben_coeffs, res_support, ben_support = {}, {}, {}, {}
+    # by row id: the row, and the view's coefficients of it
+    rows, coeffs_of = {}, {}
+    for i in sorted({i for u in members for i in rows_of[u]}):
+        row = resources.get(i)
+        if row is None:
+            row = beneficiaries[i]
+            ben_coeffs[i] = coeffs_of[i] = {}
+            ben_support[i] = tuple(row)
+        else:
+            res_coeffs[i] = coeffs_of[i] = {}
+            res_support[i] = tuple(row)
+        rows[i] = row
     for u in members:
         for i in rows_of[u]:
-            row = resources.get(i)
-            coeffs_of = res_coeffs
-            if row is None:
-                row = beneficiaries[i]
-                coeffs_of = ben_coeffs
-            coeffs = coeffs_of.get(i)
-            if coeffs is None:
-                coeffs = coeffs_of[i] = {}
-            coeffs[u] = row[u]
+            coeffs_of[i][u] = rows[i][u]
 
-    res_ids = sorted(res_coeffs)
-    ben_ids = sorted(ben_coeffs)
     return View(
         center=v,
         horizon=r,
         members=tuple(members),
-        resource_coeffs={i: res_coeffs[i] for i in res_ids},
-        beneficiary_coeffs={k: ben_coeffs[k] for k in ben_ids},
-        resource_support={i: tuple(resources[i]) for i in res_ids},
-        beneficiary_support={k: tuple(beneficiaries[k]) for k in ben_ids},
+        resource_coeffs=res_coeffs,
+        beneficiary_coeffs=ben_coeffs,
+        resource_support=res_support,
+        beneficiary_support=ben_support,
     )

@@ -14,14 +14,12 @@ import math
 import random
 from typing import NamedTuple
 
-from .evaluation import feasibility, objective
+from .evaluation import objective
 from .hypergraph import ball, distances, incidence
 from .model import Assignment, Instance, InvalidInstanceError, restrict
 from .algorithms import run_local
 
 NODE_CAP = 200_000
-DELTA_CANCEL_TOL = 1e-9
-LEVEL_SUM_TOL = 1e-9
 # restarts of the template greedy before a width is refused as too narrow
 TEMPLATE_ATTEMPTS = 100
 
@@ -388,21 +386,28 @@ def select_hard_subinstance(instance, meta, assignment):
     it out together with a radius-2r shell around its leaves.  Returns
     (sub-instance, selected template vertex p, delta by template vertex).
 
-    delta(q) sums x(leaf) - x(partner) over q's leaves; the deltas cancel
-    globally because the pairing is an involution, so the best tree is never
-    negative.  Ties go to the lowest template vertex id.  The carve keeps only
-    rows fully inside.
+    delta(q) sums x(leaf) - x(partner) over q's leaves.  The pairing is
+    checked to be a fixed-point-free involution on exactly the trees' leaves:
+    it then permutes them, so in exact arithmetic the deltas cancel and the
+    best tree is never negative.  Ties go to the lowest template vertex id.
+    The carve keeps only rows fully inside.
     """
-    x = assignment.values
-    delta = {}
-    for q in meta.template.vertices:
-        leaves = meta.tree_levels[q][-1]
-        delta[q] = sum(x[v] - x[meta.leaf_pair[v]] for v in leaves)
-    total = sum(delta.values())
-    if abs(total) > DELTA_CANCEL_TOL:
+    pair = meta.leaf_pair
+    leaves = [meta.tree_levels[q][-1] for q in meta.template.vertices]
+    # as many pairs as leaves, and each leaf paired with another leaf that
+    # is paired back with it; counted, so no set of the leaves is built
+    if sum(map(len, leaves)) != len(pair) or any(
+        pair.get(pair.get(v)) != v or pair[v] == v for tree in leaves for v in tree
+    ):
         raise ArithmeticError(
-            f"leaf deltas sum to {total!r}; the pairing should make them cancel"
+            "the leaf pairing is not a fixed-point-free involution on the trees' "
+            "leaves, so the leaf deltas need not cancel"
         )
+    x = assignment.values
+    delta = {
+        q: sum(x[v] - x[pair[v]] for v in tree)
+        for q, tree in zip(meta.template.vertices, leaves)
+    }
     best = max(delta.values())
     if best < 0:
         raise ArithmeticError("every tree is negative; deltas cannot all be below zero")
@@ -420,7 +425,8 @@ def parity_solution(sub_instance, root):
 
     On the carved sub-instance the incidence structure is a tree, packing and
     benefit rows alternate along every root path, and this point meets every
-    row with exactly one unit -- witnessing an optimum of one.
+    row with one unit -- D * fl(1/D) in a tree's benefit rows -- witnessing an
+    optimum of about one.
     """
     dist = distances(incidence(sub_instance), root)
     missing = set(sub_instance.agents) - set(dist)
@@ -443,53 +449,26 @@ def theoretical_ratio_floor(d, D):
     return (d + 1) / 2 + 0.5 - 1.0 / (2 * D)
 
 
-def _parity_rows_exact(sub_instance, parity, D):
-    """Row-by-row audit of the parity point.
-
-    With D = 1 every coefficient is one and binary arithmetic is exact, so
-    the audit demands equality; otherwise 1/D rounding leaves dust below
-    1e-12.
-    """
-    x = parity.values
-    exact = D == 1
-    tol = 0.0 if exact else 1e-12
-    for row in list(sub_instance.resources.values()) + list(
-        sub_instance.beneficiaries.values()
-    ):
-        load = sum(c * x[v] for v, c in row.items())
-        if abs(load - 1.0) > tol:
-            return False
-    return True
-
-
-def _certified_ratio(sub_instance, parity, assignment, omega_sub):
-    """The largest float at most what the attack proves about the ratio.
-
-    The parity point, scaled down by its largest resource load when that
-    exceeds one, is feasible, so omega*(sub) is at least its smallest
-    benefit over that load; over omega_alg(sub) this bounds the ratio.  Both
-    are taken exactly from the sub-instance's floats.  The float
-    ``1 / omega_sub`` is kept wherever it is at or below that quotient and
-    stepped down otherwise; an exact omega_alg(sub) of zero or below
-    certifies an unbounded ratio.
-    """
+def _exact_sums(rows, x):
+    """Each row's sum at ``x`` as a ``Fraction``, exact over the floats held."""
     from fractions import Fraction
 
-    def exact_sums(rows, x):
-        return (sum(Fraction(c) * Fraction(x[v]) for v, c in row.items()) for row in rows.values())
+    return [sum(Fraction(c) * Fraction(x[v]) for v, c in row.items()) for row in rows.values()]
 
-    omega_alg = min(exact_sums(sub_instance.beneficiaries, assignment.values))
+
+def _certified_ratio(witness, omega_alg):
+    """The largest float at most ``witness / omega_alg``, what the attack
+    proves about the ratio from an exact lower bound on omega*(sub) and the
+    exact omega_alg(sub); an omega_alg(sub) of zero or below certifies an
+    unbounded ratio.
+    """
     if omega_alg <= 0:
         return "unbounded"
-    load = max(exact_sums(sub_instance.resources, parity.values), default=0)
-    witness = min(exact_sums(sub_instance.beneficiaries, parity.values)) / max(1, load)
     proven = witness / omega_alg
-    ratio = 1.0 / omega_sub if omega_sub > 0.0 else math.inf
+    # float() rounds to nearest, so at most a step down remains
+    ratio = float(proven)
     if ratio > proven:
-        # float() rounds to nearest, so at most a step down remains
-        ratio = float(proven)
-        while ratio > proven:
-            ratio = math.nextafter(ratio, -math.inf)
+        ratio = math.nextafter(ratio, -math.inf)
     return ratio
 
 
@@ -503,6 +482,11 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
     of about one on the carved sub-instance; it is written as the largest
     float at most the exact quotient (see :func:`_certified_ratio`), and a
     zero sub-objective certifies an unbounded ratio.
+
+    Every audit of the carve is exact over the floats it holds.  The parity
+    point is 0/1, so it is ``feasible`` when no resource load exceeds one;
+    ``rows_exact`` holds when every row sums to exactly one, which fails
+    wherever D * fl(1/D) is not one.
     """
     if algorithm.horizon > r:
         raise HorizonTooLargeError(
@@ -527,15 +511,26 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
 
     omega_sub = objective(sub, x_sub)
     parity = parity_solution(sub, meta.tree_levels[p][0][0])
+    loads = _exact_sums(sub.resources, parity.values)
+    gains = _exact_sums(sub.beneficiaries, parity.values)
+    load = max(loads, default=0)
+    x = x_sub.values
+    # the parity point scaled down by its largest resource load, when that
+    # exceeds one, is feasible, so its smallest benefit over that load is at
+    # most omega*(sub)
+    witness = min(gains) / max(1, load)
+    ratio = _certified_ratio(witness, min(_exact_sums(sub.beneficiaries, x)))
 
-    sums = [sum(x_sub.values[v] for v in level) for level in meta.tree_levels[p]]
-    # consecutive level pairs share the packing rows between them, so their
-    # joint activity is capped by the count of those rows
-    caps = [float((d * D) ** j) for j in range(len(sums) // 2)]
-    pair_ok = all(
-        sums[2 * j] + sums[2 * j + 1] <= caps[j] + LEVEL_SUM_TOL
-        for j in range(len(sums) // 2)
-    )
+    levels = meta.tree_levels[p]
+    sums = [sum(x[v] for v in level) for level in levels]
+    # consecutive level pairs share the (dD)^j unit packing rows between
+    # them, so their joint activity is capped by the count of those rows
+    pairs = {
+        j: dict.fromkeys(levels[2 * j] + levels[2 * j + 1], 1.0)
+        for j in range(len(levels) // 2)
+    }
+    caps = [(d * D) ** j for j in pairs]
+    pair_ok = all(total <= cap for total, cap in zip(_exact_sums(pairs, x), caps))
 
     params = {
         "algorithm": algorithm.name,
@@ -558,14 +553,14 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
         "identical_choices": True,
         "omega_alg_full": objective(full, x_full),
         "omega_alg_sub": omega_sub,
-        "certified_ratio": _certified_ratio(sub, parity, x_sub, omega_sub),
+        "certified_ratio": ratio,
         "parity": {
             "omega": objective(sub, parity),
-            "feasible": feasibility(sub, parity)[0],
-            "rows_exact": _parity_rows_exact(sub, parity, D),
+            "feasible": load <= 1,
+            "rows_exact": all(total == 1 for total in loads + gains),
         },
         "level_sums": sums,
-        "level_caps": caps,
+        "level_caps": [float(cap) for cap in caps],
         "level_inequalities_ok": pair_ok,
         "theoretical_floor": theoretical_ratio_floor(d, D),
     }

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .evaluation import FEASIBILITY_TOL
 from .model import Assignment
 
 # smallest column entry the ratio test pivots on
@@ -36,8 +37,6 @@ PIVOT_TOL = 1e-7
 OPTIMALITY_TOL = 1e-12
 # smallest partial pivot a rebuild accepts before calling the basis singular
 SINGULAR_TOL = 1e-11
-# largest row violation or negative value the returned point may show
-FEASIBILITY_TOL = 1e-9
 # pivots allowed per row and per column before the solver refuses
 _PIVOT_BUDGET_FACTOR = 50
 
@@ -248,7 +247,8 @@ def solve_maxmin(sub_instance):
     the pivots done and the last primal residual, when the budget of
     ``_PIVOT_BUDGET_FACTOR`` pivots per row and column is spent, when a
     rebuild meets a singular basis, or when the point found violates a row
-    or a sign by more than ``FEASIBILITY_TOL``.
+    or a sign by more than ``FEASIBILITY_TOL``, the tolerance
+    :func:`~maxminlp.evaluation.feasibility` holds a point to.
     """
     lp = assemble_maxmin_lp(sub_instance)
     solve = _Solve(lp)

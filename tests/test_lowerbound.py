@@ -11,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from maxminlp import algorithms, hypergraph, lowerbound
-from maxminlp.algorithms import InvalidInstanceError, make_algorithm, run_local
+from maxminlp.algorithms import (
+    InvalidInstanceError, LocalAlgorithm, make_algorithm, run_local,
+)
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.hypergraph import extract_view
 from maxminlp.lowerbound import (
@@ -447,6 +449,31 @@ def test_selection_rejects_uncancelled_deltas():
         select_hard_subinstance(inst, broken, Assignment(x))
 
 
+def test_selection_refuses_a_pairing_that_is_no_involution():
+    # every leaf paired with one anchor: with x = 0 every delta is zero, so
+    # only the check on the pairing, which is what makes them cancel, refuses it
+    inst, meta = built()
+    anchor = meta.tree_levels[0][-1][0]
+    broken = meta._replace(leaf_pair={v: anchor for v in meta.leaf_pair})
+    zero = Assignment({v: 0.0 for v in inst.agents})
+    with pytest.raises(ArithmeticError, match="involution.*cancel"):
+        select_hard_subinstance(inst, broken, zero)
+
+
+@pytest.mark.parametrize("pairing", [
+    lambda pair: {**pair, next(iter(pair)): next(iter(pair))},
+    lambda pair: dict(list(pair.items())[1:]),
+    # tree 0's root and a child of it, paired with each other
+    lambda pair: {**pair, 0: 1, 1: 0},
+], ids=["a-leaf-paired-with-itself", "a-leaf-left-out", "two-inner-nodes-paired"])
+def test_selection_refuses_a_pairing_off_the_leaves(pairing):
+    inst, meta = built()
+    broken = meta._replace(leaf_pair=pairing(meta.leaf_pair))
+    zero = Assignment({v: 0.0 for v in inst.agents})
+    with pytest.raises(ArithmeticError, match="involution"):
+        select_hard_subinstance(inst, broken, zero)
+
+
 def test_parity_solution_saturates_every_row():
     inst, meta = built()
     sub, p, _ = select_hard_subinstance(
@@ -561,20 +588,60 @@ def test_attack_refuses_far_sighted_algorithms():
 
 
 def test_attack_with_wide_benefit_rows():
-    # D = 3 puts thirds in the benefit rows; the parity audit then runs at
-    # 1e-12 rather than demanding bit equality
+    # D = 3 puts fl(1/3) in the benefit rows, and 3 * fl(1/3) is not one in
+    # exact arithmetic, so the exact audit finds the parity rows inexact
     report = adversarial_lower_bound(make_algorithm("safe"), 1, 3, 1, 2, seed=0)
     assert report["parity"]["feasible"]
-    assert report["parity"]["rows_exact"]
+    assert report["parity"]["rows_exact"] is False
     assert report["level_inequalities_ok"]
     assert report["certified_ratio"] >= report["theoretical_floor"] - 1e-9
+
+
+@pytest.mark.parametrize("D, exact", [(3, False), (4, True)])
+def test_parity_rows_are_exact_where_D_times_its_share_is_one(D, exact):
+    # fl(1/4) is exact; fl(1/3) is not, and 3 * fl(1/3) < 1
+    assert (D * Fraction(1.0 / D) == 1) is exact
+    report = adversarial_lower_bound(make_algorithm("safe"), 1, D, 1, 2, seed=0)
+    assert report["parity"]["rows_exact"] is exact
+    assert report["parity"]["feasible"]
+
+
+class JustAboveHalf(LocalAlgorithm):
+    """Activity one ulp above 1/2 everywhere: every level pair then sums to
+    1.0000000000000002, above its cap of one."""
+
+    name = "just-above-half"
+    horizon = 1
+
+    def decide(self, view):
+        return math.nextafter(0.5, 1.0)
+
+
+def test_level_audit_is_exact():
+    # a one-ulp excess fails the audit; any tolerance would let it through
+    report = adversarial_lower_bound(JustAboveHalf(), 1, 1, 1, 2, seed=0)
+    sums = report["level_sums"]
+    assert sums[0] + sums[1] == math.nextafter(1.0, 2.0)
+    assert report["level_caps"] == [1.0, 1.0]
+    assert report["level_inequalities_ok"] is False
+
+
+def test_certified_ratio_is_the_largest_float_at_most_the_quotient():
+    # 1/3 rounds down to nearest and is kept; 9/5 rounds up to 1.8, so one
+    # step down, not the float 1 / omega_alg(sub) two steps below that the
+    # attack at d = 1, D = 9 computes
+    assert lowerbound._certified_ratio(Fraction(1), Fraction(3)) == 1 / 3
+    assert lowerbound._certified_ratio(Fraction(1), Fraction(5, 9)) == math.nextafter(1.8, 0.0)
+    assert lowerbound._certified_ratio(Fraction(1), Fraction(0)) == "unbounded"
 
 
 def _exact_sums(rows, x):
     return [sum(Fraction(c) * Fraction(x[v]) for v, c in row.items()) for row in rows.values()]
 
 
-@pytest.mark.parametrize("d, D", [(1, D) for D in range(1, 8)] + [(2, 1), (2, 2)])
+# every (d, D) under NODE_CAP at r = 1, R = 2 but D = 11 and (2, 3), which
+# take over ten seconds each with this test
+@pytest.mark.parametrize("d, D", [(1, D) for D in range(1, 11)] + [(2, 1), (2, 2), (3, 1)])
 def test_certified_ratio_is_the_largest_float_at_most_the_proven_ratio(d, D):
     # 1 / omega_alg(sub) in floats came out an ulp or two above the exact
     # (smallest parity benefit) / omega_alg(sub) at d = 1 and D = 4 to 7
@@ -590,6 +657,9 @@ def test_certified_ratio_is_the_largest_float_at_most_the_proven_ratio(d, D):
     )
     ratio = report["certified_ratio"]
     assert Fraction(ratio) <= proven < Fraction(math.nextafter(ratio, math.inf))
+    rows = _exact_sums(sub.resources, parity.values) + _exact_sums(sub.beneficiaries, parity.values)
+    assert report["parity"]["rows_exact"] is all(total == 1 for total in rows)
+    assert report["level_inequalities_ok"] is True
 
 
 def test_ratio_floor_never_undercuts_observed_attacks():
