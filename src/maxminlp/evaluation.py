@@ -55,6 +55,14 @@ def objective(instance, assignment):
     )
 
 
+def exact_sums(rows, x):
+    """Each row's sum at ``x`` as a ``Fraction``, in the order of ``rows``:
+    the one exact row evaluator, exact over the floats the rows and ``x`` hold."""
+    from fractions import Fraction
+
+    return [sum(Fraction(c) * Fraction(x[v]) for v, c in row.items()) for row in rows.values()]
+
+
 class EvaluationReport(NamedTuple):
     feasible: bool
     max_violation: float

@@ -14,7 +14,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .evaluation import objective
+from .evaluation import exact_sums, objective
 from .hypergraph import ball, distances, incidence
 from .model import Assignment, Instance, InvalidInstanceError, restrict
 from .algorithms import run_local
@@ -367,6 +367,9 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
 
     # the trees' own id objects, which the rows hold too, and already ascending
     agents = tuple(v for levels in tree_levels.values() for level in levels for v in level)
+    # every row lists its agents in ascending order (a node before its
+    # children, a left tree's leaf before a right tree's), so the instance
+    # keeps these row objects as its own; the lists go before it sorts the ids
     resources = dict(enumerate(packing))
     beneficiaries = dict(enumerate(benefit, start=len(packing)))
     del packing, benefit
@@ -449,13 +452,6 @@ def theoretical_ratio_floor(d, D):
     return (d + 1) / 2 + 0.5 - 1.0 / (2 * D)
 
 
-def _exact_sums(rows, x):
-    """Each row's sum at ``x`` as a ``Fraction``, exact over the floats held."""
-    from fractions import Fraction
-
-    return [sum(Fraction(c) * Fraction(x[v]) for v, c in row.items()) for row in rows.values()]
-
-
 def _certified_ratio(witness, omega_alg):
     """The largest float at most ``witness / omega_alg``, what the attack
     proves about the ratio from an exact lower bound on omega*(sub) and the
@@ -511,15 +507,15 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
 
     omega_sub = objective(sub, x_sub)
     parity = parity_solution(sub, meta.tree_levels[p][0][0])
-    loads = _exact_sums(sub.resources, parity.values)
-    gains = _exact_sums(sub.beneficiaries, parity.values)
+    loads = exact_sums(sub.resources, parity.values)
+    gains = exact_sums(sub.beneficiaries, parity.values)
     load = max(loads, default=0)
     x = x_sub.values
     # the parity point scaled down by its largest resource load, when that
     # exceeds one, is feasible, so its smallest benefit over that load is at
     # most omega*(sub)
     witness = min(gains) / max(1, load)
-    ratio = _certified_ratio(witness, min(_exact_sums(sub.beneficiaries, x)))
+    ratio = _certified_ratio(witness, min(exact_sums(sub.beneficiaries, x)))
 
     levels = meta.tree_levels[p]
     sums = [sum(x[v] for v in level) for level in levels]
@@ -530,7 +526,7 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
         for j in range(len(levels) // 2)
     }
     caps = [(d * D) ** j for j in pairs]
-    pair_ok = all(total <= cap for total, cap in zip(_exact_sums(pairs, x), caps))
+    pair_ok = all(total <= cap for total, cap in zip(exact_sums(pairs, x), caps))
 
     params = {
         "algorithm": algorithm.name,

@@ -11,8 +11,10 @@ Rows are sparse maps ``agent id -> coefficient`` holding strictly positive
 entries only; an absent key is a structural zero.
 """
 
+import itertools
 import json
 import math
+import operator
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,14 +28,18 @@ class Instance:
     equal instances iterate identically; treat instances as immutable after
     construction (derived structure is cached on first use).  Equality
     compares those three canonical fields.
+
+    Rows handed to ``Instance`` become its own: a row that is a plain dict
+    with its agent keys in strictly ascending order is kept as that object,
+    any other row is replaced by a sorted plain-dict copy.  Callers must not
+    change a row after handing it over; instances may share rows, as
+    :func:`restrict` does with its parent's.
     """
 
     def __init__(self, agents, resources, beneficiaries):
         self.agents = tuple(sorted(agents))
-        self.resources = {i: dict(sorted(row.items())) for i, row in sorted(resources.items())}
-        self.beneficiaries = {
-            k: dict(sorted(row.items())) for k, row in sorted(beneficiaries.items())
-        }
+        self.resources = {i: _canonical(row) for i, row in sorted(resources.items())}
+        self.beneficiaries = {k: _canonical(row) for k, row in sorted(beneficiaries.items())}
         self._cache = {}
 
     def __eq__(self, other):
@@ -66,6 +72,15 @@ class Instance:
                 rows_of[v] = tuple(ids)
             self._cache["rows_of"] = rows_of
         return rows_of
+
+
+def _canonical(row):
+    """``row`` itself when it is a plain dict whose keys strictly ascend,
+    else a plain dict of its items in ascending key order.  Keys that cannot
+    be compared raise ``TypeError`` either way."""
+    if type(row) is dict and all(map(operator.lt, row, itertools.islice(row, 1, None))):
+        return row
+    return dict(sorted(row.items()))
 
 
 def _check_rows(kind, rows, agent_set, violations):
@@ -137,7 +152,7 @@ def restrict(instance, agent_set):
         raise ValueError(f"agent_set contains unknown agents: {sorted(unknown)[:5]}")
 
     def inside(mapping):
-        # Instance copies each row it is given, so the rows are passed as they are
+        # the parent's rows are canonical, so the carve keeps and shares them
         return {rid: row for rid, row in mapping.items() if kept.issuperset(row)}
 
     return Instance(tuple(sorted(kept)), inside(instance.resources), inside(instance.beneficiaries))

@@ -12,6 +12,7 @@ from maxminlp.evaluation import (
     EvaluationReport,
     benefits,
     evaluate,
+    exact_sums,
     feasibility,
     objective,
     write_reports_csv,
@@ -101,6 +102,14 @@ def test_benefits_and_objective_exact():
     assert objective(pair(), Assignment({0: 0.5, 1: 0.25})) == got[1]
     with pytest.raises(ValueError, match="empty K"):
         objective(Instance((0,), {0: {0: 1.0}}, {}), Assignment({0: 0.0}))
+
+
+def test_exact_sums_are_exact_over_the_floats_held():
+    # fl(0.1) + fl(0.2) rounds up to 0.30000000000000004 in floats
+    rows = {3: {0: 0.1, 1: 0.2}, 1: {1: 1.0}}
+    sums = exact_sums(rows, {0: 1.0, 1: 1.0})
+    assert sums == [Fraction(0.1) + Fraction(0.2), 1]
+    assert sums[0] < Fraction(0.1 + 0.2)
 
 
 def _no_oracle(*_):

@@ -325,9 +325,10 @@ def test_agents_are_the_id_objects_the_rows_hold():
 
 
 def test_adversarial_build_peaks_near_what_it_keeps():
-    # each tree's edges become rows at once and only its levels are kept,
-    # so the peak is what it keeps plus about one copy of the rows, which
-    # the instance makes of them (holding the trees' edges too peaked at 1.9x)
+    # each tree's edges become rows at once and only its levels are kept, and
+    # the instance keeps those rows rather than copying them, so the peak is
+    # what it keeps plus the id maps the instance rebuilds in order (copying
+    # every row peaked at 1.65x, holding the trees' edges too at 1.9x)
     gc.collect()  # earlier tests' tuples in the free lists would go untraced
     tracemalloc.start()
     try:
@@ -336,7 +337,7 @@ def test_adversarial_build_peaks_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert len(built[0].agents) == 24_000
-    assert peak <= 1.75 * kept, (peak, kept, peak / kept)
+    assert peak <= 1.3 * kept, (peak, kept, peak / kept)
 
 
 def test_the_attack_caches_no_neighbour_map(monkeypatch):
@@ -640,16 +641,31 @@ def _exact_sums(rows, x):
 
 
 # every (d, D) under NODE_CAP at r = 1, R = 2 but D = 11 and (2, 3), which
-# take over ten seconds each with this test
+# take about seven seconds each
 @pytest.mark.parametrize("d, D", [(1, D) for D in range(1, 11)] + [(2, 1), (2, 2), (3, 1)])
-def test_certified_ratio_is_the_largest_float_at_most_the_proven_ratio(d, D):
+def test_certified_ratio_is_the_largest_float_at_most_the_proven_ratio(d, D, monkeypatch):
     # 1 / omega_alg(sub) in floats came out an ulp or two above the exact
-    # (smallest parity benefit) / omega_alg(sub) at d = 1 and D = 4 to 7
-    safe = make_algorithm("safe")
-    report = adversarial_lower_bound(safe, d, D, 1, 2, seed=0)
-    full, meta = build_adversarial_instance(d, D, 1, 2, seed=0)
-    sub, p, _ = select_hard_subinstance(full, meta, run_local(full, safe))
-    x_sub = run_local(sub, safe)
+    # (smallest parity benefit) / omega_alg(sub) at d = 1 and D = 4 to 7.
+    # The attack's own meta, carve and run on the carve are kept as it makes
+    # them, so it runs once; the exact sums below are this test's own.
+    seen = {}
+
+    def spy(name):
+        real = getattr(lowerbound, name)
+
+        def spying(*args, **kwargs):
+            result = real(*args, **kwargs)
+            seen.setdefault(name, []).append((args, result))
+            return result
+
+        monkeypatch.setattr(lowerbound, name, spying)
+
+    for name in ("build_adversarial_instance", "select_hard_subinstance", "run_local"):
+        spy(name)
+    report = adversarial_lower_bound(make_algorithm("safe"), d, D, 1, 2, seed=0)
+    [(_, (_, meta))] = seen["build_adversarial_instance"]
+    [(_, (sub, p, _))] = seen["select_hard_subinstance"]
+    [x_sub] = [x for (instance, _), x in seen["run_local"] if instance is sub]
     parity = parity_solution(sub, meta.tree_levels[p][0][0])
     assert max(_exact_sums(sub.resources, parity.values)) == 1
     proven = min(_exact_sums(sub.beneficiaries, parity.values)) / min(

@@ -3,6 +3,7 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,6 +48,79 @@ def test_construction_canonicalises_order():
     assert list(inst.resources[0]) == [0, 1]
     assert list(inst.beneficiaries) == [10, 11, 12]
     assert inst == chain()
+
+
+def test_a_row_in_canonical_order_becomes_the_instances_own():
+    packing, benefit = {0: 1.0, 2: 0.5}, {1: 2.0}
+    inst = Instance((0, 1, 2), {3: packing}, {4: benefit})
+    assert inst.resources[3] is packing
+    assert inst.beneficiaries[4] is benefit
+
+
+class _DictRow(dict):
+    pass
+
+
+def _unordered():
+    row = {2: 0.5, 0: 1.0}
+    return row, row
+
+
+def _dict_subclass():
+    row = _DictRow({0: 1.0, 2: 0.5})
+    return row, row
+
+
+def _read_only_view():
+    backing = {0: 1.0, 2: 0.5}
+    return MappingProxyType(backing), backing
+
+
+@pytest.mark.parametrize("make", [_unordered, _dict_subclass, _read_only_view])
+def test_any_other_row_is_copied_into_a_sorted_plain_dict(make):
+    # (row, the dict a caller can still change it through)
+    row, backing = make()
+    inst = Instance((0, 2), {0: row}, {1: {0: 1.0}})
+    held = inst.resources[0]
+    assert type(held) is dict and held is not row
+    assert list(held.items()) == [(0, 1.0), (2, 0.5)]
+    backing[1] = 9.0
+    assert list(held.items()) == [(0, 1.0), (2, 0.5)]
+
+
+@pytest.mark.parametrize("row", [{0: 1.0, "a": 1.0}, {"a": 1.0, 0: 1.0}])
+def test_a_row_whose_keys_cannot_be_compared_is_refused(row):
+    with pytest.raises(TypeError):
+        Instance((0,), {0: row}, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6), st.randoms(use_true_random=False))
+def test_shuffled_rows_build_the_instance_canonical_rows_build(n_agents, max_support, seed, rnd):
+    # gen_random hands over canonical rows; shuffled copies must be sorted back
+    canonical = gen_random(n_agents, max_support, seed=seed)
+
+    def shuffled(rows):
+        ids = list(rows)
+        rnd.shuffle(ids)
+        out = {}
+        for rid in ids:
+            items = list(rows[rid].items())
+            rnd.shuffle(items)
+            out[rid] = dict(items)
+        return out
+
+    agents = list(canonical.agents)
+    rnd.shuffle(agents)
+    inst = Instance(agents, shuffled(canonical.resources), shuffled(canonical.beneficiaries))
+    assert inst == canonical
+    assert inst.agents == canonical.agents
+    for mine, theirs in [(inst.resources, canonical.resources),
+                         (inst.beneficiaries, canonical.beneficiaries)]:
+        assert list(mine) == list(theirs)
+        assert [list(row.items()) for row in mine.values()] == [
+            list(row.items()) for row in theirs.values()
+        ]
 
 
 def test_agent_rows_lists_resource_ids_then_beneficiary_ids():
@@ -108,6 +182,14 @@ def test_restrict_strict_keeps_fully_inside_rows():
     assert sub.resources == {0: {0: 1.0, 1: 2.0}}
     # beneficiary 10 leaks to agent 2, so only the singleton survives
     assert sub.beneficiaries == {11: {0: 2.0}}
+
+
+def test_restrict_gives_the_carve_the_parents_own_rows():
+    inst = chain()
+    sub = restrict(inst, {0, 1, 2})
+    assert list(sub.resources) == [0, 2] and list(sub.beneficiaries) == [10, 11]
+    assert all(sub.resources[i] is inst.resources[i] for i in sub.resources)
+    assert all(sub.beneficiaries[k] is inst.beneficiaries[k] for k in sub.beneficiaries)
 
 
 def test_restrict_rejects_bad_agent_sets():
