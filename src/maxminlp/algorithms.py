@@ -67,58 +67,41 @@ class SafeAlgorithm(LocalAlgorithm):
         return best
 
 
-def view_incidence(view):
-    """The view's incidence for :func:`~maxminlp.hypergraph.distances`.
-
-    Every member, and every node the support lists name, maps to the ids
-    of the view's rows holding it, resources first.  A member's list is all
-    of its rows, since the view has every row incident to a member; a node
-    beyond the members has only those of its rows that meet one.
-    """
-    rows_of = {w: [] for w in view.members}
-    for rows in (view.resource_support, view.beneficiary_support):
-        for i, support in rows.items():
-            for w in support:
-                mine = rows_of.get(w)
-                if mine is None:
-                    mine = rows_of[w] = []
-                mine.append(i)
-    return rows_of, view.resource_support, view.beneficiary_support
-
-
-def view_ball(view, incidence, start, radius):
+def view_ball(view, start, radius):
     """Radius-``radius`` ball around ``start`` walked over the view's
-    :func:`view_incidence`.
+    incidence ``(rows_of, resource_support, beneficiary_support)``.
 
     Expanding a node requires knowing all of its hyperedges, which the view
-    only guarantees for members.  Any non-member the walk expands lies in the
-    ball it returns, so a ball that leaves the members is a locality
-    violation and raises rather than silently truncating.
+    only has for members, so its ``rows_of`` holds members only and
+    :func:`~maxminlp.hypergraph.distances` refuses a walk that reaches any
+    other node.  That is a locality violation, raised rather than truncated.
     """
-    members = set(view.members)
-    if start not in members:
+    if start not in view.rows_of:
         raise LocalAlgorithmError(f"agent {start} is outside the view of {view.center}")
-    ball = frozenset(distances(incidence, start, radius))
-    if not ball <= members:
+    try:
+        return frozenset(
+            distances((view.rows_of, view.resource_support, view.beneficiary_support),
+                      start, radius)
+        )
+    except ValueError:
         raise LocalAlgorithmError(
             f"ball of radius {radius} around {start} leaves the view of {view.center}"
-        )
-    return ball
+        ) from None
 
 
-def local_subproblem(view, ball, rows_of):
+def local_subproblem(view, ball):
     """The clipped problem visible inside one inner ball, as sorted tuples.
 
     ``(agents, resources, beneficiaries)``, each row ``(id, ((agent, coeff),
     ...))`` in the ascending order of the view's maps.  Resources that meet
     the ball keep their inside coefficients; benefit rows must lie fully
     inside, otherwise their value would be misstated.  The rows are those
-    of the members, from ``rows_of`` of :func:`view_incidence`, so the cost
-    follows the rows that meet the ball rather than the whole view.
+    of the ball's members, from the view's ``rows_of``, so the cost follows
+    the rows that meet the ball rather than the whole view.
     """
     touched = set()
     for w in ball:
-        touched.update(rows_of[w])
+        touched.update(view.rows_of[w])
     resource_support = view.resource_support
     # tuples from lists, not generators: the memo keeps every key for the
     # run, and generator-built tuples made it 1.5 times as large (8x8, R=2)
@@ -137,15 +120,14 @@ def local_subproblem(view, ball, rows_of):
     return tuple(sorted(ball)), tuple(resources), tuple(beneficiaries)
 
 
-def local_lp_solution(view, u, R, ball=None, incidence=None):
+def local_lp_solution(view, u, R, ball):
     """Canonical optimum of the ball-(u, R) subproblem, keyed by agent.
 
     All-zero when no benefit row fits inside the ball: the objective would be
     vacuous there, and zero keeps every packing row slack.  Any agent whose
     view contains B(u, R) computes the exact same numbers, because the
     subproblem is canonical and the solver's pivot path is fixed.  ``ball``
-    is B(u, R) from :func:`view_ball`, walked here when omitted, and
-    ``incidence`` the view's :func:`view_incidence`, built here when omitted.
+    is B(u, R), as :func:`view_ball` walks it.
 
     Inside :func:`run_local` the optimum is memoised on the tuple that
     :func:`local_subproblem` returns -- agents, rows and coefficients, never
@@ -155,11 +137,7 @@ def local_lp_solution(view, u, R, ball=None, incidence=None):
     failing solve raises :class:`LocalAlgorithmError` naming the deciding
     agent, u, R and the ball size, chained from the solver's error.
     """
-    if incidence is None:
-        incidence = view_incidence(view)
-    if ball is None:
-        ball = view_ball(view, incidence, u, R)
-    sub = local_subproblem(view, ball, incidence[0])
+    sub = local_subproblem(view, ball)
     agents, resources, beneficiaries = sub
     if not beneficiaries:
         return {w: 0.0 for w in agents}
@@ -205,18 +183,17 @@ class LocalAveraging(LocalAlgorithm):
 
     def decide(self, view):
         j = view.center
-        incidence = view_incidence(view)
         cache = {}
 
         def ball(w):
             if w not in cache:
-                cache[w] = view_ball(view, incidence, w, self.R)
+                cache[w] = view_ball(view, w, self.R)
             return cache[w]
 
         inner = sorted(ball(j))
         total = 0.0
         for u in inner:
-            total += local_lp_solution(view, u, self.R, ball(u), incidence)[j]
+            total += local_lp_solution(view, u, self.R, ball(u))[j]
 
         beta = None
         for i, row in view.resource_coeffs.items():

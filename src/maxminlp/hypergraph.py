@@ -5,8 +5,8 @@ counts row hops.  The graph is never built as agent -> neighbours; every
 walk goes through an *incidence*, the triple ``(rows_of, resources,
 beneficiaries)``: ``rows_of`` maps a node to the ids of its rows, and the
 other two map a row id to its support.  :func:`incidence` gives an
-instance's, from :meth:`~maxminlp.model.Instance.agent_rows`, and the local
-averaging algorithm builds one per view from the view's support lists.
+instance's, from :meth:`~maxminlp.model.Instance.agent_rows`, and a
+:class:`View` carries its members' entries of that map, and no others.
 :func:`distances` is the one breadth-first search over an incidence, and
 :func:`ball` wraps it.  Growth factors, views, the local algorithms'
 balls, the adversary's carve and its template's girth all walk through
@@ -110,17 +110,19 @@ def growth_factor(instance, r):
 class View(NamedTuple):
     """Everything one agent may legally see within its horizon.
 
-    ``members`` is exactly the radius-``horizon`` ball around ``center``.
-    The coefficient maps carry members' own entries only.  The support maps
-    name the full membership of every hyperedge incident to a member --
-    identities, not coefficients -- which is how an agent knows whom it
-    shares a row with just beyond its horizon.  Equality is field-by-field
-    over these canonical structures.
+    ``rows_of`` maps each member, ascending, to the instance's own
+    :meth:`~maxminlp.model.Instance.agent_rows` tuple; its keys are exactly
+    the radius-``horizon`` ball around ``center``, so a walk over the view
+    stops where the members end.  The coefficient maps carry members' own
+    entries only.  The support maps name the full membership of every
+    hyperedge incident to a member -- identities, not coefficients -- which
+    is how an agent knows whom it shares a row with just beyond its horizon.
+    Equality is field-by-field over these canonical structures.
     """
 
     center: int
     horizon: int
-    members: tuple
+    rows_of: dict
     resource_coeffs: dict
     beneficiary_coeffs: dict
     resource_support: dict
@@ -135,15 +137,15 @@ def extract_view(instance, v, r):
     coefficients.  A row id is a resource's when the resources hold it, which
     validity makes exact.
     """
-    members = sorted(ball(incidence(instance), v, r))
     rows_of = instance.agent_rows()
+    members = {u: rows_of[u] for u in sorted(ball(incidence(instance), v, r))}
     resources = instance.resources
     beneficiaries = instance.beneficiaries
 
     res_coeffs, ben_coeffs, res_support, ben_support = {}, {}, {}, {}
     # by row id: the row, and the view's coefficients of it
     rows, coeffs_of = {}, {}
-    for i in sorted({i for u in members for i in rows_of[u]}):
+    for i in sorted({i for ids in members.values() for i in ids}):
         row = resources.get(i)
         if row is None:
             row = beneficiaries[i]
@@ -153,14 +155,14 @@ def extract_view(instance, v, r):
             res_coeffs[i] = coeffs_of[i] = {}
             res_support[i] = tuple(row)
         rows[i] = row
-    for u in members:
-        for i in rows_of[u]:
+    for u, ids in members.items():
+        for i in ids:
             coeffs_of[i][u] = rows[i][u]
 
     return View(
         center=v,
         horizon=r,
-        members=tuple(members),
+        rows_of=members,
         resource_coeffs=res_coeffs,
         beneficiary_coeffs=ben_coeffs,
         resource_support=res_support,

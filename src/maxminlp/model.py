@@ -88,9 +88,12 @@ def _check_rows(kind, rows, agent_set, violations):
         if not row:
             violations.append(f"{kind} {rid}: empty support")
         for v, coeff in row.items():
-            if v not in agent_set:
+            # True == 1, so a boolean would pass as agent 1 or coefficient 1
+            if v not in agent_set or isinstance(v, bool):
                 violations.append(f"{kind} {rid}: unknown agent {v}")
-            if not isinstance(coeff, (int, float)) or not math.isfinite(coeff):
+            if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
+                violations.append(f"{kind} {rid}: {coeff!r} for agent {v} is not a number")
+            elif not math.isfinite(coeff):
                 violations.append(f"{kind} {rid}: non-finite coefficient for agent {v}")
             elif coeff <= 0:
                 violations.append(f"{kind} {rid}: nonpositive coefficient for agent {v}")
@@ -120,7 +123,7 @@ def validate(instance):
     violations = []
     previous = None
     for v in instance.agents:
-        if not isinstance(v, int) or v < 0:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             violations.append(f"agent {v!r}: ids must be nonnegative integers")
         elif v == previous:
             violations.append(f"agent {v}: duplicate id")

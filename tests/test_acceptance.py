@@ -17,6 +17,7 @@ from maxminlp.algorithms import (
     SafeAlgorithm,
     local_lp_solution,
     run_local,
+    view_ball,
 )
 from maxminlp.evaluation import (
     benefits,
@@ -187,10 +188,8 @@ def test_criterion_7_determinism(tmp_path):
     centre = 0
     viewers = sorted(oracles.ball(inst, centre, R) - {centre})[:2]
     assert len(viewers) == 2
-    solutions = [
-        local_lp_solution(extract_view(inst, j, 2 * R + 1), centre, R)
-        for j in viewers
-    ]
+    views = [extract_view(inst, j, 2 * R + 1) for j in viewers]
+    solutions = [local_lp_solution(view, centre, R, view_ball(view, centre, R)) for view in views]
     assert solutions[0] == solutions[1]
     elapsed = time.monotonic() - t0
     print("ACCEPTANCE 7 PASS: byte-identical reruns for five commands, "

@@ -17,7 +17,6 @@ from maxminlp.algorithms import (
     make_algorithm,
     run_local,
     view_ball,
-    view_incidence,
 )
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.generators import TorusParams, gen_random, gen_torus
@@ -76,22 +75,13 @@ def test_zero_algorithm_is_trivially_feasible():
     assert feasibility(inst, out)[0]
 
 
-def test_view_adjacency_spans_identity_lists():
-    view = extract_view(path4(), 1, 1)
-    rows_of, resources, beneficiaries = view_incidence(view)
-    # agent 3 is not a member, but its identity arrives via resource 1
-    assert rows_of == {0: [0, 3], 1: [0, 2], 2: [1, 2], 3: [1]}
-    assert (resources, beneficiaries) == (view.resource_support, view.beneficiary_support)
-
-
 def test_view_ball_enforces_locality():
     view = extract_view(path4(), 1, 1)
-    inc = view_incidence(view)
-    assert view_ball(view, inc, 1, 1) == frozenset({0, 1, 2})
-    with pytest.raises(LocalAlgorithmError):
-        view_ball(view, inc, 3, 1)  # start outside the members
-    with pytest.raises(LocalAlgorithmError):
-        view_ball(view, inc, 1, 2)  # radius 2 would need agent 3's edges
+    assert view_ball(view, 1, 1) == frozenset({0, 1, 2})
+    with pytest.raises(LocalAlgorithmError, match="agent 3 is outside the view of 1"):
+        view_ball(view, 3, 1)  # start outside the members
+    with pytest.raises(LocalAlgorithmError, match="around 1 leaves the view of 1"):
+        view_ball(view, 1, 2)  # radius 2 would need agent 3's edges
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,9 +107,8 @@ def test_view_ball_is_the_true_ball_inside_an_averaging_view(n_agents, max_suppo
     inst = gen_random(n_agents, max_support, seed=seed)
     center = inst.agents[seed % len(inst.agents)]
     view = extract_view(inst, center, 2 * R + 1)
-    inc = view_incidence(view)
     for u in oracles.ball(inst, center, R):
-        assert view_ball(view, inc, u, R) == oracles.ball(inst, u, R)
+        assert view_ball(view, u, R) == oracles.ball(inst, u, R)
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,21 +122,18 @@ def test_view_ball_raises_exactly_when_the_ball_leaves_the_view(
     inst = gen_random(n_agents, max_support, seed=seed)
     center = inst.agents[seed % len(inst.agents)]
     view = extract_view(inst, center, horizon)
-    inc = view_incidence(view)
-    members = set(view.members)
-    for u in view.members:
+    for u in view.rows_of:
         want = oracles.ball(inst, u, radius)
-        if want <= members:
-            assert view_ball(view, inc, u, radius) == want
+        if want <= view.rows_of.keys():
+            assert view_ball(view, u, radius) == want
         else:
             with pytest.raises(LocalAlgorithmError, match="leaves the view"):
-                view_ball(view, inc, u, radius)
+                view_ball(view, u, radius)
 
 
 def test_local_subproblem_clips_resources_keeps_inside_benefits():
     view = extract_view(path4(), 1, 2)
-    rows_of = view_incidence(view)[0]
-    assert local_subproblem(view, {0, 1, 2}, rows_of) == (
+    assert local_subproblem(view, {0, 1, 2}) == (
         (0, 1, 2),
         ((0, ((0, 1.0), (1, 1.0))), (1, ((2, 1.0),))),
         ((2, ((1, 1.0), (2, 1.0))), (3, ((0, 1.0),))),
@@ -163,7 +149,7 @@ def test_local_lp_zero_when_no_benefit_row_fits():
         beneficiaries={3: {2: 1.0, 3: 1.0}},
     )
     view = extract_view(inst, 0, 3)
-    assert local_lp_solution(view, 0, 1) == {0: 0.0, 1: 0.0}
+    assert local_lp_solution(view, 0, 1, view_ball(view, 0, 1)) == {0: 0.0, 1: 0.0}
 
 
 def test_local_lp_identical_from_any_viewer():
@@ -176,7 +162,7 @@ def test_local_lp_identical_from_any_viewer():
     reference = None
     for j in viewers:
         view = extract_view(inst, j, horizon)
-        got = local_lp_solution(view, center, R)
+        got = local_lp_solution(view, center, R, view_ball(view, center, R))
         if reference is None:
             reference = got
         else:
@@ -364,17 +350,16 @@ def test_one_walk_per_ball_and_one_instance_per_distinct_ball_lp(torus11, monkey
 def test_memo_key_is_the_subproblem_and_a_given_ball_changes_nothing(torus11):
     R = 2
     view = extract_view(torus11, 0, 2 * R + 1)
-    inc = view_incidence(view)
     for u in sorted(oracles.ball(torus11, 0, R)):
-        ball = view_ball(view, inc, u, R)
+        ball = view_ball(view, u, R)
         token = algorithms._BALL_LP_MEMO.set({})
         try:
             got = local_lp_solution(view, u, R, ball)
             memo = algorithms._BALL_LP_MEMO.get()
         finally:
             algorithms._BALL_LP_MEMO.reset(token)
-        assert list(memo) == [local_subproblem(view, ball, inc[0])]
-        assert got == local_lp_solution(view, u, R)
+        assert list(memo) == [local_subproblem(view, ball)]
+        assert got == local_lp_solution(view, u, R, oracles.ball(torus11, u, R))
 
 
 def test_memoised_run_matches_direct_decisions_bit_for_bit(torus11):
@@ -435,7 +420,8 @@ class _Clobbering(LocalAveraging):
     """Edits the ball optimum it is handed before deciding as usual."""
 
     def decide(self, view):
-        local_lp_solution(view, view.center, self.R).clear()
+        j = view.center
+        local_lp_solution(view, j, self.R, view_ball(view, j, self.R)).clear()
         return super().decide(view)
 
 
@@ -472,6 +458,7 @@ def test_failing_ball_lp_names_agent_ball_and_radius(monkeypatch):
     assert match.group(4) == str(info.value.__cause__)
     assert "infeasible point" in match.group(4)
     # the named ball is the one that fails, seen from the named agent
+    view = extract_view(inst, j, 5)
     with pytest.raises(LocalAlgorithmError) as again:
-        local_lp_solution(extract_view(inst, j, 5), u, 2)
+        local_lp_solution(view, u, 2, view_ball(view, u, 2))
     assert str(again.value) == str(info.value)

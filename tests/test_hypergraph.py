@@ -129,7 +129,9 @@ def test_view_contents_on_the_path():
     view = extract_view(path4(), 1, 1)
     assert view.center == 1
     assert view.horizon == 1
-    assert view.members == (0, 1, 2)
+    # members ascending, each with all its row ids; agent 3, named by
+    # resource 1's support, has no entry
+    assert list(view.rows_of.items()) == [(0, (0, 3)), (1, (0, 2)), (2, (1, 2))]
     # coefficients only for members, full identities for every incident row
     assert view.resource_coeffs == {0: {0: 1.0, 1: 1.0}, 1: {2: 1.0}}
     assert view.resource_support == {0: (0, 1), 1: (2, 3)}
@@ -149,7 +151,7 @@ def test_view_coefficients_never_leave_the_ball(seed):
     inst = gen_random(12, 3, seed=seed)
     for v in inst.agents:
         view = extract_view(inst, v, 2)
-        members = set(view.members)
+        members = view.rows_of.keys()
         assert members == oracles.ball(inst, v, 2)
         for coeffs in view.resource_coeffs.values():
             assert set(coeffs) <= members
@@ -158,6 +160,17 @@ def test_view_coefficients_never_leave_the_ball(seed):
         # support lists quote the instance rows verbatim
         for i, support in view.resource_support.items():
             assert support == tuple(inst.resources[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6), st.integers(0, 3))
+def test_view_rows_are_the_instances_own_for_exactly_the_members(n_agents, max_support, seed, r):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    v = inst.agents[seed % len(inst.agents)]
+    view = extract_view(inst, v, r)
+    assert tuple(view.rows_of) == tuple(sorted(oracles.ball(inst, v, r)))
+    for u, ids in view.rows_of.items():
+        assert ids is inst.agent_rows()[u]
 
 
 def test_view_argument_errors():

@@ -145,6 +145,14 @@ def test_validate_clean_instance_and_its_degree_maxima():
         (lambda d: d["resources"].update({5: {9: 1.0}}), "unknown agent 9"),
         (lambda d: d["resources"][0].update({1: 0.0}), "nonpositive coefficient"),
         (lambda d: d["resources"][0].update({1: float("nan")}), "non-finite coefficient"),
+        (lambda d: d["resources"][0].update({1: -float("inf")}),
+         "resource 0: non-finite coefficient for agent 1"),
+        (lambda d: d["resources"][0].update({1: "2"}),
+         "resource 0: '2' for agent 1 is not a number"),
+        (lambda d: d["resources"][0].update({1: True}),
+         "resource 0: True for agent 1 is not a number"),
+        (lambda d: d["agents"].append(True), "agent True: ids must be nonnegative integers"),
+        (lambda d: d["resources"].update({5: {True: 1.0}}), "resource 5: unknown agent True"),
         (lambda d: d["beneficiaries"][10].update({1: -2.0}), "nonpositive coefficient"),
     ],
 )
@@ -159,6 +167,15 @@ def test_validate_flags_each_defect(mutate, fragment):
     violations = validate(Instance(tuple(parts["agents"]), parts["resources"], parts["beneficiaries"]))
     assert violations
     assert any(fragment in line for line in violations), violations
+
+
+def test_validate_refuses_booleans_that_would_pass_for_one():
+    assert validate(Instance((True,), {0: {True: 1.0}}, {1: {True: True}})) == (
+        "agent True: ids must be nonnegative integers",
+        "resource 0: unknown agent True",
+        "beneficiary 1: unknown agent True",
+        "beneficiary 1: True for agent True is not a number",
+    )
 
 
 def test_validate_flags_uncovered_agent():
