@@ -53,11 +53,11 @@ class SafeAlgorithm(LocalAlgorithm):
     def decide(self, view):
         v = view.center
         best = None
-        for i, row in view.resource_coeffs.items():
+        for row in view.resources.values():
             a = row.get(v)
             if a is None:
                 continue
-            share = 1.0 / (a * len(view.resource_support[i]))
+            share = 1.0 / (a * len(row))
             if best is None or share < best:
                 best = share
         if best is None:
@@ -69,7 +69,7 @@ class SafeAlgorithm(LocalAlgorithm):
 
 def view_ball(view, start, radius):
     """Radius-``radius`` ball around ``start`` walked over the view's
-    incidence ``(rows_of, resource_support, beneficiary_support)``.
+    incidence ``(rows_of, resources, beneficiaries)``.
 
     Expanding a node requires knowing all of its hyperedges, which the view
     only has for members, so its ``rows_of`` holds members only and
@@ -80,8 +80,7 @@ def view_ball(view, start, radius):
         raise LocalAlgorithmError(f"agent {start} is outside the view of {view.center}")
     try:
         return frozenset(
-            distances((view.rows_of, view.resource_support, view.beneficiary_support),
-                      start, radius)
+            distances((view.rows_of, view.resources, view.beneficiaries), start, radius)
         )
     except ValueError:
         raise LocalAlgorithmError(
@@ -93,30 +92,29 @@ def local_subproblem(view, ball):
     """The clipped problem visible inside one inner ball, as sorted tuples.
 
     ``(agents, resources, beneficiaries)``, each row ``(id, ((agent, coeff),
-    ...))`` in the ascending order of the view's maps.  Resources that meet
-    the ball keep their inside coefficients; benefit rows must lie fully
-    inside, otherwise their value would be misstated.  The rows are those
-    of the ball's members, from the view's ``rows_of``, so the cost follows
-    the rows that meet the ball rather than the whole view.
+    ...))`` with ids ascending and agents in the view's row order.  Resources
+    that meet the ball keep their inside coefficients; benefit rows must lie
+    fully inside, otherwise their value would be misstated.  ``ball`` holds
+    members only, so no ``None`` of the view reaches the result.  The rows
+    are those of the ball's members, from the view's ``rows_of``, so the
+    cost follows the rows that meet the ball rather than the whole view.
     """
     touched = set()
     for w in ball:
         touched.update(view.rows_of[w])
-    resource_support = view.resource_support
-    # tuples from lists, not generators: the memo keeps every key for the
-    # run, and generator-built tuples made it 1.5 times as large (8x8, R=2)
+    # tuples from lists or sized views, not generators: the memo keeps every
+    # key for the run, and with generator-built tuples the heap held at the
+    # run's last ball LP was 1.4 times as large (perturbed 8x8, R=2)
     resources = []
     beneficiaries = []
     for i in sorted(touched):
-        support = resource_support.get(i)
-        if support is not None:
-            coeffs = view.resource_coeffs[i]
-            resources.append((i, tuple([(w, coeffs[w]) for w in support if w in ball])))
+        row = view.resources.get(i)
+        if row is not None:
+            resources.append((i, tuple([(w, a) for w, a in row.items() if w in ball])))
         else:
-            support = view.beneficiary_support[i]
-            if ball.issuperset(support):
-                coeffs = view.beneficiary_coeffs[i]
-                beneficiaries.append((i, tuple([(w, coeffs[w]) for w in support])))
+            row = view.beneficiaries[i]
+            if ball.issuperset(row):
+                beneficiaries.append((i, tuple(row.items())))
     return tuple(sorted(ball)), tuple(resources), tuple(beneficiaries)
 
 
@@ -171,7 +169,7 @@ class LocalAveraging(LocalAlgorithm):
     The damping is exactly what keeps the averaged point feasible; the
     averaging is what keeps every benefit row within a growth-controlled
     factor of optimum.  Needs a 2R+1 horizon: the farthest subproblem
-    reaches R beyond an agent R hops away, plus one hop of support lists.
+    reaches R beyond an agent R hops away, plus one hop of row supports.
     """
 
     def __init__(self, R):
@@ -196,13 +194,12 @@ class LocalAveraging(LocalAlgorithm):
             total += local_lp_solution(view, u, self.R, ball(u))[j]
 
         beta = None
-        for i, row in view.resource_coeffs.items():
+        for row in view.resources.values():
             if j not in row:
                 continue
-            support = view.resource_support[i]
-            smallest = min(len(ball(w)) for w in support)
+            smallest = min(len(ball(w)) for w in row)
             union = set()
-            for w in support:
+            for w in row:
                 union |= ball(w)
             fraction = smallest / len(union)
             if beta is None or fraction < beta:

@@ -4,9 +4,11 @@ Two agents are adjacent when some row's support holds both, and distance
 counts row hops.  The graph is never built as agent -> neighbours; every
 walk goes through an *incidence*, the triple ``(rows_of, resources,
 beneficiaries)``: ``rows_of`` maps a node to the ids of its rows, and the
-other two map a row id to its support.  :func:`incidence` gives an
-instance's, from :meth:`~maxminlp.model.Instance.agent_rows`, and a
-:class:`View` carries its members' entries of that map, and no others.
+other two map a row id to the row, a map keyed by its support.
+:func:`incidence` gives an instance's, from
+:meth:`~maxminlp.model.Instance.agent_rows`, and a :class:`View` has the
+same shape: its ``rows_of`` holds its members' entries of that map and no
+others, and its rows hold ``None`` for every coefficient beyond the horizon.
 :func:`distances` is the one breadth-first search over an incidence, and
 :func:`ball` wraps it.  Growth factors, views, the local algorithms'
 balls, the adversary's carve and its template's girth all walk through
@@ -113,58 +115,35 @@ class View(NamedTuple):
     ``rows_of`` maps each member, ascending, to the instance's own
     :meth:`~maxminlp.model.Instance.agent_rows` tuple; its keys are exactly
     the radius-``horizon`` ball around ``center``, so a walk over the view
-    stops where the members end.  The coefficient maps carry members' own
-    entries only.  The support maps name the full membership of every
-    hyperedge incident to a member -- identities, not coefficients -- which
-    is how an agent knows whom it shares a row with just beyond its horizon.
-    Equality is field-by-field over these canonical structures.
+    stops where the members end.  ``resources`` and ``beneficiaries`` have
+    the instance's shape: each maps the id of a row that touches a member,
+    ascending, to ``{agent: coefficient}`` over the row's full support in
+    the instance's order.  The full support is how an agent knows whom it
+    shares a row with just beyond its horizon, but only a member's entry
+    holds its coefficient; every other entry is ``None``, which fails loudly
+    in any arithmetic.  Equality is field-by-field over these structures.
     """
 
     center: int
     horizon: int
     rows_of: dict
-    resource_coeffs: dict
-    beneficiary_coeffs: dict
-    resource_support: dict
-    beneficiary_support: dict
+    resources: dict
+    beneficiaries: dict
 
 
 def extract_view(instance, v, r):
     """Agent ``v``'s radius-``r`` :class:`View` of a valid instance.
 
-    The members' row ids are sorted once and each row's entries made in that
-    order; one pass over the members, ascending, then fills in their
-    coefficients.  A row id is a resource's when the resources hold it, which
-    validity makes exact.
+    One pass over the members' row ids, ascending, copies each row with
+    ``None`` for the agents outside the ball.  A row id is a resource's when
+    the resources hold it, which validity makes exact.
     """
     rows_of = instance.agent_rows()
     members = {u: rows_of[u] for u in sorted(ball(incidence(instance), v, r))}
-    resources = instance.resources
-    beneficiaries = instance.beneficiaries
-
-    res_coeffs, ben_coeffs, res_support, ben_support = {}, {}, {}, {}
-    # by row id: the row, and the view's coefficients of it
-    rows, coeffs_of = {}, {}
+    resources, beneficiaries = {}, {}
     for i in sorted({i for ids in members.values() for i in ids}):
-        row = resources.get(i)
+        row, into = instance.resources.get(i), resources
         if row is None:
-            row = beneficiaries[i]
-            ben_coeffs[i] = coeffs_of[i] = {}
-            ben_support[i] = tuple(row)
-        else:
-            res_coeffs[i] = coeffs_of[i] = {}
-            res_support[i] = tuple(row)
-        rows[i] = row
-    for u, ids in members.items():
-        for i in ids:
-            coeffs_of[i][u] = rows[i][u]
-
-    return View(
-        center=v,
-        horizon=r,
-        rows_of=members,
-        resource_coeffs=res_coeffs,
-        beneficiary_coeffs=ben_coeffs,
-        resource_support=res_support,
-        beneficiary_support=ben_support,
-    )
+            row, into = instance.beneficiaries[i], beneficiaries
+        into[i] = {u: a if u in members else None for u, a in row.items()}
+    return View(v, r, members, resources, beneficiaries)

@@ -88,8 +88,8 @@ def _check_rows(kind, rows, agent_set, violations):
         if not row:
             violations.append(f"{kind} {rid}: empty support")
         for v, coeff in row.items():
-            # True == 1, so a boolean would pass as agent 1 or coefficient 1
-            if v not in agent_set or isinstance(v, bool):
+            # True == 1.0 == 1, so a boolean or a float would pass as agent 1
+            if not isinstance(v, int) or isinstance(v, bool) or v not in agent_set:
                 violations.append(f"{kind} {rid}: unknown agent {v}")
             if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
                 violations.append(f"{kind} {rid}: {coeff!r} for agent {v} is not a number")

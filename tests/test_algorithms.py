@@ -20,7 +20,7 @@ from maxminlp.algorithms import (
 )
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.generators import TorusParams, gen_random, gen_torus
-from maxminlp.hypergraph import extract_view, growth_factor
+from maxminlp.hypergraph import View, extract_view, growth_factor
 from maxminlp.lp import solve_maxmin
 from maxminlp.model import Instance
 
@@ -45,6 +45,21 @@ def test_safe_takes_the_most_conservative_share():
     assert out.values[0] == 0.5
     assert out.values[1] == 1.0 / (4.0 * 3.0)
     assert out.values[2] == 1.0 / 3.0
+
+
+@pytest.mark.parametrize("algorithm", [SafeAlgorithm(), LocalAveraging(1)])
+def test_a_centre_without_a_resource_is_refused(algorithm):
+    # agent 0 sits in benefit row 5 only; agent 1's resource bounds both
+    # ball LPs, so local-avg gets as far as its damping before refusing
+    view = View(
+        center=0,
+        horizon=3,
+        rows_of={0: (5,), 1: (4, 5, 6)},
+        resources={4: {1: 1.0}},
+        beneficiaries={5: {0: 1.0, 1: 1.0}, 6: {1: 1.0}},
+    )
+    with pytest.raises(LocalAlgorithmError, match="agent 0 touches no resource"):
+        algorithm.decide(view)
 
 
 @pytest.mark.parametrize("dim, side", [(1, 4), (1, 6), (2, 4), (2, 8)])

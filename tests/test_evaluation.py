@@ -50,6 +50,13 @@ def test_feasibility_rejects_negative_activity():
     assert ok
 
 
+def test_evaluate_without_beneficiaries_leaves_the_objective_undefined():
+    report = evaluate(Instance((0,), {0: {0: 1.0}}, {}), Assignment({0: 0.5}))
+    assert report.omega is None
+    assert report.ratio is None
+    assert "no beneficiaries: objective undefined" in report.notes
+
+
 def test_domain_mismatch_raises():
     with pytest.raises(ValueError, match="domain"):
         feasibility(pair(), Assignment({0: 0.0}))

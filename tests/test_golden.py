@@ -14,6 +14,11 @@ before those configs were derived from the parsed arguments. The
 the code before the attack became one pass without a two-phase meta.
 The ``gen-lowerbound-bench`` digests were recorded from the code before
 instance files were rendered as text instead of through ``json.dumps``.
+The ``solve-torus8`` and ``run-local-avg-r2`` digests, on the uniform and
+the perturbed 8x8 tori, were recorded from the code before a view held one
+row map per kind, each row over its full support with ``None`` for the
+agents beyond the horizon, in place of separate coefficient and support
+maps; they are the first to reach the ball subproblems at R = 2.
 """
 import hashlib
 
@@ -25,6 +30,9 @@ TORUS = ("gen-torus", "--dim", "2", "--side", "6", "--perturb", "--seed", "0")
 SMALL_TREE = ("-d", "1", "-D", "1", "-r", "1", "-R", "2", "--seed", "0")
 # degree-4 template of girth 6, so edge pairing order matters
 WIDE_TREE = ("-d", "2", "-D", "1", "-r", "1", "-R", "2", "--seed", "0")
+# R = 2 averaging runs on these; the uniform one is the degenerate case
+TORUS8 = ("gen-torus", "--dim", "2", "--side", "8", "--seed", "0")
+TORUS8_PERTURBED = ("gen-torus", "--dim", "2", "--side", "8", "--perturb", "--seed", "0")
 # the adversary-safe benchmark's instance: 24,000 agents in a 2.2-MB file
 BENCH_TREE = ("-d", "2", "-D", "2", "-r", "1", "-R", "2", "--seed", "0")
 
@@ -88,6 +96,26 @@ CASES = {
         "636cfb3853a0f48a36cfa7e07c2a7076b192f3c5cb75451c542d73a1ff68d757",
         "dde439bc6b55787b5c5116f34bad1981ed667893c2783ba31ce4196c14bd1746",
     ),
+    "solve-torus8": (
+        ("solve", "torus8.json"), "sol8.json",
+        "af8cc9f92db5ed86e3f292af9a22bf429ab9b7910c20647cb3d6e398c7033253",
+        "312752a195e74bcfa95bec4e8bd713bbd5389497b8bacb9803f3223a0e92e759",
+    ),
+    "solve-torus8-perturbed": (
+        ("solve", "torus8p.json"), "sol8p.json",
+        "6ff94dca674343c48a75de977006d679e22f77a518c9b17244156a707ab526cb",
+        "c2275336deba5f9aae37e09f629bc8772173d850cee5176c44410ec476cf4e6e",
+    ),
+    "run-local-avg-r2": (
+        ("run", "torus8.json", "--algorithm", "local-avg", "--radius", "2"), "run8.json",
+        "22fa5721677d0d2cff669a09b1fc51fe7bc0099249a6ae6f605c5b23397a2157",
+        "1b239b683e0cbf93a58fc7bf37554a132da75bbe900788dfcd236816407f7879",
+    ),
+    "run-local-avg-r2-perturbed": (
+        ("run", "torus8p.json", "--algorithm", "local-avg", "--radius", "2"), "run8p.json",
+        "1b0f7a88998a90ff1cbc5b83f857f8116f1b97f8c87e71a06a4934cfcd0d5a76",
+        "5cad64aa24823fa016c130ed39d3e2f0284a3d335c8f87501ccfa75eb990d737",
+    ),
     "eval-csv": (
         ("eval", "torus.json", "run.json", "--radius", "2", "--csv", "runs.csv"),
         "report.json",
@@ -104,9 +132,15 @@ CASES = {
 # (argv, output) of the files a case reads, made in order before it runs
 MAKE_TORUS = (TORUS, "torus.json")
 MAKE_RUN = (CASES["run-local-avg"][0], "run.json")
+MAKE_TORUS8 = (TORUS8, "torus8.json")
+MAKE_TORUS8_PERTURBED = (TORUS8_PERTURBED, "torus8p.json")
 INPUTS = {
     "run-local-avg": (MAKE_TORUS,),
     "solve": (MAKE_TORUS,),
+    "solve-torus8": (MAKE_TORUS8,),
+    "solve-torus8-perturbed": (MAKE_TORUS8_PERTURBED,),
+    "run-local-avg-r2": (MAKE_TORUS8,),
+    "run-local-avg-r2-perturbed": (MAKE_TORUS8_PERTURBED,),
     "eval-csv": (MAKE_TORUS, MAKE_RUN),
     "growth": (MAKE_TORUS,),
 }

@@ -132,11 +132,11 @@ def test_view_contents_on_the_path():
     # members ascending, each with all its row ids; agent 3, named by
     # resource 1's support, has no entry
     assert list(view.rows_of.items()) == [(0, (0, 3)), (1, (0, 2)), (2, (1, 2))]
-    # coefficients only for members, full identities for every incident row
-    assert view.resource_coeffs == {0: {0: 1.0, 1: 1.0}, 1: {2: 1.0}}
-    assert view.resource_support == {0: (0, 1), 1: (2, 3)}
-    assert view.beneficiary_coeffs == {2: {1: 1.0, 2: 1.0}, 3: {0: 1.0}}
-    assert view.beneficiary_support == {2: (1, 2), 3: (0,)}
+    # every row touching a member over its full support, None beyond the horizon
+    assert view.resources == {0: {0: 1.0, 1: 1.0}, 1: {2: 1.0, 3: None}}
+    assert list(view.resources[1]) == [2, 3]
+    assert view.beneficiaries == {2: {1: 1.0, 2: 1.0}, 3: {0: 1.0}}
+    assert view._fields == ("center", "horizon", "rows_of", "resources", "beneficiaries")
 
 
 def test_view_equality_is_structural():
@@ -153,13 +153,18 @@ def test_view_coefficients_never_leave_the_ball(seed):
         view = extract_view(inst, v, 2)
         members = view.rows_of.keys()
         assert members == oracles.ball(inst, v, 2)
-        for coeffs in view.resource_coeffs.values():
-            assert set(coeffs) <= members
-        for coeffs in view.beneficiary_coeffs.values():
-            assert set(coeffs) <= members
-        # support lists quote the instance rows verbatim
-        for i, support in view.resource_support.items():
-            assert support == tuple(inst.resources[i])
+        for theirs, mine in ((inst.resources, view.resources),
+                             (inst.beneficiaries, view.beneficiaries)):
+            # exactly the rows touching a member, ids ascending
+            assert list(mine) == [i for i, row in theirs.items() if members & row.keys()]
+            for i, row in mine.items():
+                # the instance row's support, in its order
+                assert list(row) == list(theirs[i])
+                for w, a in row.items():
+                    # a coefficient for a member, the instance's own; None otherwise
+                    assert (a is None) == (w not in members)
+                    if a is not None:
+                        assert a == theirs[i][w]
 
 
 @settings(max_examples=60, deadline=None)

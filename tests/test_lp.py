@@ -98,6 +98,12 @@ def test_maxmin_rejects_empty_beneficiaries():
         solve_maxmin(Instance((0,), {0: {0: 1.0}}, {}))
 
 
+def test_maxmin_names_a_row_agent_the_instance_lacks():
+    # never validated, so the assembly is the first to meet agent 5
+    with pytest.raises(ValueError, match="^resource 0 references unknown agent 5$"):
+        solve_maxmin(Instance((0,), {0: {0: 1.0, 5: 1.0}}, {1: {0: 1.0}}))
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_maxmin_matches_reference_solver(seed):
     inst = gen_random(4 + seed % 9, 3, seed=seed)

@@ -153,6 +153,8 @@ def test_validate_clean_instance_and_its_degree_maxima():
          "resource 0: True for agent 1 is not a number"),
         (lambda d: d["agents"].append(True), "agent True: ids must be nonnegative integers"),
         (lambda d: d["resources"].update({5: {True: 1.0}}), "resource 5: unknown agent True"),
+        # 1.0 == 1, and saved as "1.0" it is a key no file reader takes
+        (lambda d: d["resources"].update({5: {1.0: 1.0}}), "resource 5: unknown agent 1.0"),
         (lambda d: d["beneficiaries"][10].update({1: -2.0}), "nonpositive coefficient"),
     ],
 )
