@@ -6,6 +6,11 @@ outputs byte for byte.  That configuration is the parsed arguments minus
 the input and output paths, plus the values a command works out itself;
 moving an instance file around must not change what gets computed from it.
 
+A command that computes something prints its lines and returns its result;
+:func:`main` embeds the config in it and writes it to ``-o`` when one is
+given, so the rule above is carried out once.  A generator writes its
+instance itself, then reports what it wrote, and returns ``None``.
+
 Exit status: 0 on success, 1 on any domain error (bad input file,
 infeasible request, exhausted search), 2 on usage errors.
 """
@@ -45,7 +50,6 @@ def _cmd_gen_torus(args):
 
     params = TorusParams(dim=args.dim, side=args.side, perturb=args.perturb, seed=args.seed)
     _save_generated(gen_torus(params), args)
-    return 0
 
 
 def _cmd_gen_random(args):
@@ -58,7 +62,6 @@ def _cmd_gen_random(args):
         seed=args.seed,
     )
     _save_generated(instance, args)
-    return 0
 
 
 def _cmd_gen_lowerbound(args):
@@ -71,27 +74,21 @@ def _cmd_gen_lowerbound(args):
         instance, args, n_per_side=meta.n_per_side, template_girth=meta.template.girth
     )
     print(f"template girth {meta.template.girth}, degree {meta.template.degree}")
-    return 0
 
 
 def _cmd_solve(args):
     from .lp import solve_maxmin
-    from .model import assignment_to_dict, dump_json, load_instance
+    from .model import assignment_to_dict, load_instance
 
-    instance = load_instance(args.instance)
-    assignment, omega = solve_maxmin(instance)
+    assignment, omega = solve_maxmin(load_instance(args.instance))
     print(f"omega = {omega:.12g}")
-    if args.output:
-        payload = {"config": _config(args), "omega": omega}
-        payload.update(assignment_to_dict(assignment))
-        dump_json(payload, args.output)
-    return 0
+    return {"omega": omega, **assignment_to_dict(assignment)}
 
 
 def _cmd_run(args):
     from .algorithms import make_algorithm, run_local
     from .evaluation import objective
-    from .model import assignment_to_dict, dump_json, load_instance
+    from .model import assignment_to_dict, load_instance
 
     instance = load_instance(args.instance)
     algorithm = make_algorithm(args.algorithm, args.radius)
@@ -100,11 +97,7 @@ def _cmd_run(args):
         print(f"{algorithm.name}: omega = {objective(instance, assignment):.12g}")
     else:
         print(f"{algorithm.name}: instance has no beneficiaries")
-    if args.output:
-        payload = {"config": _config(args), "algorithm": algorithm.name}
-        payload.update(assignment_to_dict(assignment))
-        dump_json(payload, args.output)
-    return 0
+    return {"algorithm": algorithm.name, **assignment_to_dict(assignment)}
 
 
 def _rounded_down(value):
@@ -123,7 +116,6 @@ def _rounded_down(value):
 def _cmd_adversary(args):
     from .algorithms import make_algorithm
     from .lowerbound import adversarial_lower_bound
-    from .model import dump_json
 
     algorithm = make_algorithm(args.algorithm, args.radius)
     report = adversarial_lower_bound(
@@ -138,50 +130,40 @@ def _cmd_adversary(args):
     else:
         print(f"certified ratio >= {_rounded_down(ratio)}")
     print(f"theoretical floor = {report['theoretical_floor']:.12g}")
-    if args.output:
-        report["config"] = _config(args, n_per_side=report["params"]["n_per_side"])
-        dump_json(report, args.output)
-    return 0
+    report["config"] = _config(args, n_per_side=report["params"]["n_per_side"])
+    return report
 
 
 def _cmd_eval(args):
     from .evaluation import evaluate, write_reports_csv
-    from .model import assignment_from_dict, dump_json, load_instance, load_json
+    from .model import assignment_from_dict, load_instance, load_json
 
     instance = load_instance(args.instance)
     payload = load_json(args.assignment)
     assignment = assignment_from_dict(payload)
     report = evaluate(instance, assignment, R=args.radius, oracle_cap=args.oracle_cap)
+    out = report.to_dict()
     print(f"feasible = {report.feasible} (max violation {report.max_violation:.3g})")
     print("omega = " + ("undefined" if report.omega is None else f"{report.omega:.12g}"))
     if report.omega_star is not None:
         print(f"omega* = {report.omega_star:.12g}")
-        shown = report.to_dict()["ratio"]
+        shown = out["ratio"]
         print(f"ratio = {shown if isinstance(shown, str) else format(shown, '.12g')}")
     for note in report.notes:
         print(f"note: {note}")
-    if args.output:
-        out = report.to_dict()
-        out["config"] = _config(args)
-        dump_json(out, args.output)
     if args.csv:
         label = os.path.basename(args.instance)
-        algorithm = payload.get("algorithm", "")
-        write_reports_csv(args.csv, [(label, algorithm, report)])
-    return 0
+        write_reports_csv(args.csv, [(label, payload.get("algorithm", ""), report)])
+    return out
 
 
 def _cmd_growth(args):
     from .hypergraph import growth_factor
-    from .model import dump_json, load_instance
+    from .model import load_instance
 
-    instance = load_instance(args.instance)
-    gamma = growth_factor(instance, args.radius)
+    gamma = growth_factor(load_instance(args.instance), args.radius)
     print(f"gamma({args.radius}) = {gamma.numerator}/{gamma.denominator}")
-    if args.output:
-        fraction = {"numerator": gamma.numerator, "denominator": gamma.denominator}
-        dump_json({"config": _config(args), "gamma": fraction}, args.output)
-    return 0
+    return {"gamma": {"numerator": gamma.numerator, "denominator": gamma.denominator}}
 
 
 def _add_output(p, required=False):
@@ -287,10 +269,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if payload is not None and args.output:
+            from .model import dump_json
+
+            dump_json({"config": _config(args), **payload}, args.output)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,11 @@ def _check_domain(instance, assignment):
         raise ValueError("assignment domain does not match the instance's agents")
 
 
+def _sums(rows, x):
+    """Each row's float sum at ``x``, in the order of ``rows``, one at a time."""
+    return (sum(c * x[v] for v, c in row.items()) for row in rows)
+
+
 def feasibility(instance, assignment):
     """(feasible, max violation): the worst resource-row overshoot.
 
@@ -25,10 +30,7 @@ def feasibility(instance, assignment):
     """
     _check_domain(instance, assignment)
     x = assignment.values
-    worst = -math.inf
-    for row in instance.resources.values():
-        load = sum(a * x[v] for v, a in row.items())
-        worst = max(worst, load - 1.0)
+    worst = max(_sums(instance.resources.values(), x), default=-math.inf) - 1.0
     lowest = min(x.values(), default=0.0)
     feasible = worst <= FEASIBILITY_TOL and lowest >= -FEASIBILITY_TOL
     return feasible, worst
@@ -37,11 +39,9 @@ def feasibility(instance, assignment):
 def benefits(instance, assignment):
     """Benefit collected by each beneficiary row."""
     _check_domain(instance, assignment)
-    x = assignment.values
-    return {
-        k: sum(c * x[v] for v, c in row.items())
-        for k, row in instance.beneficiaries.items()
-    }
+    return dict(
+        zip(instance.beneficiaries, _sums(instance.beneficiaries.values(), assignment.values))
+    )
 
 
 def objective(instance, assignment):
@@ -49,10 +49,7 @@ def objective(instance, assignment):
     _check_domain(instance, assignment)
     if not instance.beneficiaries:
         raise ValueError("empty K: the objective needs at least one beneficiary")
-    x = assignment.values
-    return min(
-        sum(c * x[v] for v, c in row.items()) for row in instance.beneficiaries.values()
-    )
+    return min(_sums(instance.beneficiaries.values(), assignment.values))
 
 
 def exact_sums(rows, x):

@@ -38,8 +38,8 @@ class Instance:
 
     def __init__(self, agents, resources, beneficiaries):
         self.agents = tuple(sorted(agents))
-        self.resources = {i: _canonical(row) for i, row in sorted(resources.items())}
-        self.beneficiaries = {k: _canonical(row) for k, row in sorted(beneficiaries.items())}
+        self.resources = _canonical({i: _canonical(row) for i, row in resources.items()})
+        self.beneficiaries = _canonical({k: _canonical(row) for k, row in beneficiaries.items()})
         self._cache = {}
 
     def __eq__(self, other):
@@ -207,13 +207,12 @@ def _integer_id(value, what):
     return value
 
 
-def _by_agent(mapping, where, parse_text=False):
+def _by_agent(mapping, where):
     """``{int(key): float(value)}`` from a JSON object, refusing two keys that
-    name one agent and a value that is not a number.  A key is ASCII digits
-    with an optional leading ``-``, as the writers spell an id; ``int`` alone
-    would also read ``"1_0"``, ``" 0"``, ``"+0"`` and non-ASCII digits.  A
-    string value such as ``"NaN"`` is parsed only with ``parse_text``;
-    otherwise it is refused as well."""
+    name one agent and a value that is not a JSON number.  A key is ASCII
+    digits with an optional leading ``-``, as the writers spell an id; ``int``
+    alone would also read ``"1_0"``, ``" 0"``, ``"+0"`` and non-ASCII digits,
+    and ``float`` would read a string value the same loose way."""
     if not isinstance(mapping, dict):
         raise _mistyped(where, "an object keyed by agent id", mapping)
     out = {}
@@ -226,8 +225,7 @@ def _by_agent(mapping, where, parse_text=False):
             raise ValueError(
                 f"{where}: keys {keys[v]!r} and {key!r} both name agent {v}"
             )
-        numeric = isinstance(value, (int, float)) or parse_text and isinstance(value, str)
-        if isinstance(value, bool) or not numeric:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{where}: {value!r} for agent {v} is not a number")
         keys[v] = key
         out[v] = float(value)
@@ -235,7 +233,8 @@ def _by_agent(mapping, where, parse_text=False):
 
 
 def _rows_from_list(entries, kind):
-    """Rows by id; a row is named by its id, or by its position without one."""
+    """Rows by id; every row must carry an integer ``id``, and a refusal names
+    a row without one by its position in the list."""
     rows = {}
     for position, entry in enumerate(entries):
         rid = _integer_id(_field(entry, "id", f"{kind} at position {position}"), f"{kind} id")
@@ -364,7 +363,7 @@ def assignment_to_dict(assignment):
 
 def assignment_from_dict(payload):
     try:
-        values = _by_agent(_field(payload, "values", "top level"), "values", parse_text=True)
+        values = _by_agent(_field(payload, "values", "top level"), "values")
         for v, x in values.items():
             if not math.isfinite(x):
                 raise ValueError(f"agent {v} has the non-finite value {x!r}")

@@ -416,3 +416,30 @@ def test_outputs_are_location_independent(tmp_path):
                cwd=elsewhere)
     assert proc.returncode == 0, proc.stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["solve", "t.json"], {"command": "solve"}),
+    (["run", "t.json", "--algorithm", "local-avg", "--radius", "1"],
+     {"command": "run", "algorithm": "local-avg", "radius": 1}),
+    (["eval", "t.json", "x.json", "--radius", "1", "--oracle-cap", "50"],
+     {"command": "eval", "radius": 1, "oracle_cap": 50}),
+    (["growth", "t.json", "--radius", "2"], {"command": "growth", "radius": 2}),
+    (["adversary", "--algorithm", "safe", "-d", "1", "-D", "1", "-r", "1", "-R", "2"],
+     {"command": "adversary", "algorithm": "safe", "radius": None, "d": 1, "D": 1,
+      "r": 1, "R": 2, "seed": 0}),
+], ids=["solve", "run", "eval", "growth", "adversary"])
+def test_each_command_embeds_its_config_and_writes_only_to_o(tmp_path, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-torus", "--dim", "2", "--side", "3", "-o", "t.json"]) == 0
+    assert main(["run", "t.json", "--algorithm", "safe", "-o", "x.json"]) == 0
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 0
+    assert sorted(tmp_path.iterdir()) == before
+    assert main([*argv, "-o", "out.json"]) == 0
+    payload = json.loads((tmp_path / "out.json").read_text())
+    if argv[0] == "adversary":
+        # the one value a command works out itself: the template width used
+        assert isinstance(payload["params"]["n_per_side"], int)
+        config = {**config, "n_per_side": payload["params"]["n_per_side"]}
+    assert payload["config"] == config

@@ -327,8 +327,9 @@ def test_agents_are_the_id_objects_the_rows_hold():
 def test_adversarial_build_peaks_near_what_it_keeps():
     # each tree's edges become rows at once and only its levels are kept, and
     # the instance keeps those rows rather than copying them, so the peak is
-    # what it keeps plus the id maps the instance rebuilds in order (copying
-    # every row peaked at 1.65x, holding the trees' edges too at 1.9x)
+    # what it keeps plus the outer id maps the instance builds next to the
+    # caller's (copying every row peaked at 1.65x, holding the trees' edges
+    # too at 1.9x)
     gc.collect()  # earlier tests' tuples in the free lists would go untraced
     tracemalloc.start()
     try:

@@ -431,10 +431,23 @@ def test_assignment_from_dict_rejects_malformed():
         assignment_from_dict({})
 
 
-@pytest.mark.parametrize("value", ["NaN", float("nan"), float("inf"), "-Infinity"])
-def test_assignment_from_dict_rejects_non_finite_values(value):
-    with pytest.raises(ValueError, match="agent 3 has the non-finite value"):
+@pytest.mark.parametrize("value, refusal", [
+    pytest.param(float("nan"), "agent 3 has the non-finite value nan", id="nan"),
+    pytest.param(float("inf"), "agent 3 has the non-finite value inf", id="inf"),
+    # a value must be a JSON number: a string is refused before float() can
+    # read "NaN" as nan, or the last three as 3.0, 1000.0 and 1.0
+    pytest.param("NaN", "values: 'NaN' for agent 3 is not a number", id="NaN"),
+    pytest.param("-Infinity", "values: '-Infinity' for agent 3 is not a number",
+                 id="-Infinity"),
+    pytest.param("\u0663", "values: '\u0663' for agent 3 is not a number",
+                 id="arabic-indic-three"),
+    pytest.param("1_000", "values: '1_000' for agent 3 is not a number", id="1_000"),
+    pytest.param(" 1 ", "values: ' 1 ' for agent 3 is not a number", id="spaced-1"),
+])
+def test_assignment_from_dict_rejects_non_finite_values(value, refusal):
+    with pytest.raises(ValueError) as info:
         assignment_from_dict({"values": {"0": 0.5, "3": value}})
+    assert str(info.value) == f"malformed assignment payload: {refusal}"
 
 
 def test_assignment_from_dict_keeps_negative_values():
