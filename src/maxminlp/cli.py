@@ -70,10 +70,9 @@ def _cmd_gen_lowerbound(args):
     instance, meta = build_adversarial_instance(
         args.d, args.D, args.r, args.R, args.seed, n_per_side=args.n_per_side
     )
-    _save_generated(
-        instance, args, n_per_side=meta.n_per_side, template_girth=meta.template.girth
-    )
-    print(f"template girth {meta.template.girth}, degree {meta.template.degree}")
+    template = meta.template
+    _save_generated(instance, args, n_per_side=template.n_per_side, template_girth=template.girth)
+    print(f"template girth {template.girth}, degree {template.degree}")
 
 
 def _cmd_solve(args):

@@ -87,12 +87,14 @@ def growth_factors(instance, first, last):
     # best[s - first]: the largest |B(v, s+1)|, |B(v, s)| pair so far
     best = [(0, 1)] * (last - first + 1)
     for v in instance.agents:
-        sizes = [0] * (last + 2)
-        for depth in distances(inc, v, last + 1).values():
+        dist = distances(inc, v, last + 1)
+        # rings up to the deepest one the walk reached; the rest are empty
+        sizes = [0] * (next(reversed(dist.values())) + 1)
+        for depth in dist.values():
             sizes[depth] += 1
         inner = sum(sizes[:first + 1])
         for s in range(first, last + 1):
-            outer = inner + sizes[s + 1]
+            outer = inner + (sizes[s + 1] if s + 1 < len(sizes) else 0)
             top, bottom = best[s - first]
             if outer * bottom > top * inner:
                 best[s - first] = (outer, inner)

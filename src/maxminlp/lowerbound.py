@@ -40,23 +40,6 @@ class HorizonTooLargeError(ValueError):
 # Hypertrees.
 
 
-class Hypertree(NamedTuple):
-    """Levelled tree of tagged hyperedges.
-
-    Every node at an even level spawns one packing edge ("I") over itself and
-    d children; every node at an odd level spawns one benefit edge ("II")
-    over itself and D children.  Node ids are consecutive from ``first_id``
-    in level order, so rebuilding with the same arguments is byte-stable.
-    """
-
-    levels: list
-    edges: list
-
-    @property
-    def leaves(self):
-        return self.levels[-1]
-
-
 def hypertree_node_count(d, D, height):
     total, width = 1, 1
     for level in range(height):
@@ -66,6 +49,14 @@ def hypertree_node_count(d, D, height):
 
 
 def build_hypertree(d, D, height, first_id=0):
+    """The levels of a tree of ``height`` levels below its root, as lists of
+    consecutive ids from ``first_id`` in level order.
+
+    Level L + 1 lists the children of level L's nodes in order: d per node
+    on even levels, where a packing row spans the node and its children, and
+    D per node on odd levels, where a benefit row does.  Rebuilding with the
+    same arguments is byte-stable.
+    """
     if d < 1 or D < 1:
         raise ValueError("branching factors must be at least 1")
     if height < 0:
@@ -76,18 +67,11 @@ def build_hypertree(d, D, height, first_id=0):
             f"hypertree would have {count} nodes, above the cap of {NODE_CAP}"
         )
     levels = [[first_id]]
-    next_id = first_id + 1
-    edges = []
     for level in range(height):
         width = d if level % 2 == 0 else D
-        grown = []
-        for node in levels[level]:
-            children = list(range(next_id, next_id + width))
-            next_id += width
-            edges.append(("I" if level % 2 == 0 else "II", (node, *children)))
-            grown.extend(children)
-        levels.append(grown)
-    return Hypertree(levels=levels, edges=edges)
+        start = levels[-1][-1] + 1
+        levels.append(list(range(start, start + width * len(levels[-1]))))
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +168,26 @@ class _PartialTemplate:
         self.mask_of[u] |= bit
         self.near[i] |= self.mask_of[u]
 
+    def add_matching(self, rng, window):
+        """Add one perfect matching, edge by edge in a shuffled left order,
+        never joining vertices within ``window`` hops; False as soon as a
+        left vertex has no allowed partner left.
+        """
+        order = list(range(len(self.mask_of)))
+        rng.shuffle(order)
+        free = (1 << len(order)) - 1
+        for u in order:
+            # a new edge u-w closes a cycle of length dist(u, w) + 1
+            allowed = free & ~self.rights_within(u, window)
+            count = allowed.bit_count()
+            if not count:
+                return False
+            # the draw of rng.choice over the ascending allowed bits
+            i = _kth_set_bit(allowed, rng.randrange(count))
+            self.add_edge(u, i)
+            free &= ~(1 << i)
+        return True
+
     def rights_within(self, u, window):
         """Mask of the right vertices within an even ``window`` of hops from u.
 
@@ -235,31 +239,11 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed):
         raise ValueError("bipartite girth targets must be even")
 
     rng = random.Random(seed)
-    window = min_girth - 2
-    lefts = list(range(n_per_side))
     for _ in range(TEMPLATE_ATTEMPTS):
         graph = _PartialTemplate(n_per_side)
-        stuck = False
-        for _ in range(degree):
-            order = lefts[:]
-            rng.shuffle(order)
-            free = (1 << n_per_side) - 1
-            for u in order:
-                # a new edge u-w closes a cycle of length dist(u, w) + 1
-                allowed = free & ~graph.rights_within(u, window)
-                count = allowed.bit_count()
-                if not count:
-                    stuck = True
-                    break
-                # the draw of rng.choice over the ascending allowed bits
-                i = _kth_set_bit(allowed, rng.randrange(count))
-                graph.add_edge(u, i)
-                free &= ~(1 << i)
-            if stuck:
-                break
-        if stuck:
+        if not all(graph.add_matching(rng, min_girth - 2) for _ in range(degree)):
             continue
-        edges = [(u, n_per_side + i) for u in lefts for i in graph.rights_of[u]]
+        edges = [(u, n_per_side + i) for u in range(n_per_side) for i in graph.rights_of[u]]
         adj = {q: [] for q in range(2 * n_per_side)}
         for u, w in edges:
             adj[u].append(w)
@@ -284,10 +268,14 @@ def build_regular_bipartite(degree, min_girth, n_per_side, seed):
 
 
 class LowerBoundMeta(NamedTuple):
-    """What the construction fixes and the later steps of the attack read."""
+    """What the construction fixes and the later steps of the attack read.
+
+    The template's width is ``template.n_per_side``.  ``tree_levels`` maps
+    each template vertex to its tree's levels, as :func:`build_hypertree`
+    returns them, and ``leaf_pair`` maps each leaf to its partner.
+    """
 
     r: int
-    n_per_side: int
     template: BipartiteTemplate
     tree_levels: dict
     leaf_pair: dict
@@ -303,8 +291,6 @@ def default_template_width(degree, min_girth):
     template stays linear in size; everything downstream is per tree, so a
     roomy template costs only memory.
     """
-    if degree == 1:
-        return degree + 1
     blocked = 0
     reach = 1
     for t in range(1, min_girth - 1):
@@ -316,9 +302,10 @@ def default_template_width(degree, min_girth):
 
 def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
     """One hypertree of height 2R-1 per template vertex, leaves paired along
-    template edges.  Packing rows are the trees' type-I edges (coefficient 1);
-    benefit rows are the type-II edges (coefficient 1/D) plus one unit row per
-    paired leaf couple.  Returns (instance, meta).
+    template edges.  Packing rows span an even-level node and its d children
+    (coefficient 1); benefit rows span an odd-level node and its D children
+    (coefficient 1/D), plus one unit row per paired leaf couple.  Returns
+    (instance, meta).
     """
     if d < 1 or D < 1:
         raise ValueError("branching factors must be at least 1")
@@ -340,19 +327,19 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
 
     template = build_regular_bipartite(degree, 4 * r + 2, n_per_side, seed)
 
-    # each tree's edges become rows as soon as the tree is built, so only
-    # its levels outlive it
+    # node t of a level spans itself and the t-th slice of w children in the
+    # next level: a packing row on even levels (w = d), a benefit row on odd
+    # ones (w = D)
     share = 1.0 / D  # one float object shared by every type-II entry
     packing, benefit = [], []
     tree_levels = {}
     for q in template.vertices:
-        tree = build_hypertree(d, D, height, first_id=q * per_tree)
-        for kind, members in tree.edges:
-            if kind == "I":
-                packing.append({v: 1.0 for v in members})
-            else:
-                benefit.append({v: share for v in members})
-        tree_levels[q] = tree.levels
+        levels = build_hypertree(d, D, height, first_id=q * per_tree)
+        for level, (nodes, below) in enumerate(zip(levels, levels[1:])):
+            rows, w, c = (packing, d, 1.0) if level % 2 == 0 else (benefit, D, share)
+            for t, node in enumerate(nodes):
+                rows.append(dict.fromkeys((node, *below[t * w:(t + 1) * w]), c))
+        tree_levels[q] = levels
 
     # pair leaves along template edges: vertex q's leaves, in level order,
     # follow its incident edges sorted by the opposite endpoint, which is the
@@ -376,7 +363,6 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
     instance = Instance(agents, resources, beneficiaries)
     meta = LowerBoundMeta(
         r=r,
-        n_per_side=n_per_side,
         template=template,
         tree_levels=tree_levels,
         leaf_pair=leaf_pair,
@@ -535,7 +521,7 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
         "r": r,
         "R": R,
         "seed": seed,
-        "n_per_side": meta.n_per_side,
+        "n_per_side": meta.template.n_per_side,
         "template_degree": meta.template.degree,
         "template_girth": meta.template.girth,
         "agents": len(full.agents),

@@ -38,11 +38,11 @@ from maxminlp.model import Instance
 
 def test_criterion_1_hypertree_level_sizes():
     t0 = time.monotonic()
-    tree = build_hypertree(2, 3, 5)
-    sizes = [len(level) for level in tree.levels]
+    levels = build_hypertree(2, 3, 5)
+    sizes = [len(level) for level in levels]
     assert sizes == [1, 2, 6, 12, 36, 72]
-    assert len(tree.leaves) == 72
-    assert all(isinstance(v, int) for level in tree.levels for v in level)
+    assert len(levels[-1]) == 72
+    assert all(isinstance(v, int) for level in levels for v in level)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
     print("ACCEPTANCE 1 PASS: hypertree(2,3,5) levels 1,2,6,12,36,72 "

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,8 @@ def test_growth_factor_matches_oracle(seed, r):
 def test_growth_factors_from_one_walk_match_each_factor(seed):
     inst = gen_random(9, 3, seed=seed)
     assert growth_factors(inst, 0, 3) == [oracles.growth(inst, r) for r in range(4)]
+    # 9 agents are all within 8 hops, so the walks end before radius 13
+    assert growth_factors(inst, 0, 12) == [oracles.growth(inst, r) for r in range(13)]
     assert growth_factors(inst, 2, 2) == [growth_factor(inst, 2)]
 
 
@@ -116,6 +119,19 @@ def test_growth_factor_exact_values_on_small_tori():
     assert growth_factor(ring, 0) == Fraction(3, 1)
     assert growth_factor(ring, 1) == Fraction(5, 3)
     assert growth_factor(ring, 2) == Fraction(6, 5)
+
+
+def test_growth_factor_far_past_the_diameter_needs_memory_of_the_walk_only():
+    # the 8x8 torus's balls stop growing at radius 8; sizing the ring
+    # counts by the radius would allocate a million entries per agent
+    t = gen_torus(TorusParams(dim=2, side=8))
+    tracemalloc.start()
+    try:
+        assert growth_factor(t, 10**6) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_growth_factor_rejects_bad_input():

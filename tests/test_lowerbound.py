@@ -34,22 +34,24 @@ from maxminlp.model import Assignment, Instance, restrict, validate
 
 
 def test_hypertree_levels_alternate_arity():
-    t = build_hypertree(2, 1, 3)
-    assert t.levels[0] == [0]
-    assert [len(level) for level in t.levels] == [1, 2, 2, 4]
-    assert t.leaves == [5, 6, 7, 8]
-    kinds = [kind for kind, _ in t.edges]
-    assert kinds == ["I", "II", "II", "I", "I"]
-    # every edge spans its node and that node's children
-    assert ("I", (0, 1, 2)) == t.edges[0]
-    assert ("II", (1, 3)) in t.edges
-    assert sum(len(level) for level in t.levels) == hypertree_node_count(2, 1, 3)
+    levels = build_hypertree(2, 1, 3)
+    assert levels[0] == [0]
+    assert [len(level) for level in levels] == [1, 2, 2, 4]
+    assert levels[-1] == [5, 6, 7, 8]
+    assert sum(len(level) for level in levels) == hypertree_node_count(2, 1, 3)
+    # every row spans a node and its children: packing rows from even
+    # levels, benefit rows (1/D = 1 here) from odd ones
+    inst, _ = build_adversarial_instance(2, 1, 1, 2, seed=0)
+    assert [set(inst.resources[k]) for k in range(3)] == [{0, 1, 2}, {3, 5, 6}, {4, 7, 8}]
+    assert [set(inst.beneficiaries[k]) for k in (480, 481)] == [{1, 3}, {2, 4}]
+    rows = [*inst.resources.values(), *inst.beneficiaries.values()]
+    assert {c for row in rows for c in row.values()} == {1.0}
 
 
 def test_hypertree_ids_offset_cleanly():
-    t = build_hypertree(2, 3, 3, first_id=100)
-    assert t.levels[0] == [100]
-    nodes = [v for level in t.levels for v in level]
+    levels = build_hypertree(2, 3, 3, first_id=100)
+    assert levels[0] == [100]
+    nodes = [v for level in levels for v in level]
     assert len(nodes) == hypertree_node_count(2, 3, 3)
     assert min(nodes) == 100
 
@@ -277,8 +279,17 @@ def test_template_reports_impossible_width():
         build_regular_bipartite(3, 6, 3, seed=0)
 
 
+def test_template_girth_audit_catches_a_greedy_that_ignores_distances(monkeypatch):
+    # with every partner allowed the greedy closes short cycles, and the
+    # exact girth taken after it must refuse the graph
+    monkeypatch.setattr(lowerbound._PartialTemplate, "rights_within", lambda *_: 0)
+    with pytest.raises(AssertionError, match="violated its own girth bound"):
+        build_regular_bipartite(3, 6, 30, seed=0)
+
+
 def test_default_width_grows_with_the_girth_window():
-    assert default_template_width(1, 6) == 2
+    # a perfect matching has no cycle, so two per side do at any girth
+    assert all(default_template_width(1, girth) == 2 for girth in range(2, 15))
     assert default_template_width(4, 6) == 80
     assert default_template_width(4, 10) > default_template_width(4, 6)
 
@@ -291,7 +302,7 @@ def test_adversarial_instance_shape():
     inst, meta = built()
     # degree d^R D^(R-1) = 4, default width 80, trees of 9 nodes on both sides
     assert meta.template.degree == 4
-    assert meta.n_per_side == 80
+    assert meta.template.n_per_side == 80
     per_tree = hypertree_node_count(2, 1, 3)
     assert per_tree == 9
     assert len(inst.agents) == 160 * per_tree
