@@ -1,15 +1,19 @@
 """Reference local algorithms and the executor that enforces locality.
 
-A local algorithm is a pure function of one agent's view.  The executor
-extracts the radius-``horizon`` view per agent and hands over nothing else,
-so an implementation cannot accidentally read global structure.  The horizon
-is fixed per configuration; it never depends on the instance.
+A local algorithm runs in rounds.  Each round is a pure function of one
+agent's view and, after the first, of the previous round's outputs of that
+view's members.  The executor extracts the radius-``horizon`` view per agent
+and round and hands over nothing else, so an implementation cannot
+accidentally read global structure.  ``zero`` and ``safe`` decide in one
+round; ``local-avg`` runs two rounds at horizon R, and its registered
+horizon is 2R + 1.  Horizons are fixed per configuration; they never depend
+on the instance.
 """
 
 import math
-from contextvars import ContextVar
+from types import MappingProxyType
 
-from .hypergraph import distances, extract_view
+from .hypergraph import extract_view
 from .model import Assignment, Instance, InvalidInstanceError, validate
 
 
@@ -17,13 +21,15 @@ class LocalAlgorithmError(RuntimeError):
     pass
 
 
-# Ball-LP optima by sub-instance content, live only inside one run_local call.
-_BALL_LP_MEMO = ContextVar("ball_lp_memo", default=None)
-
-
 class LocalAlgorithm:
+    """One round at ``horizon``: each agent's value is ``decide(view)``."""
+
     name = "abstract"
     horizon = 0
+
+    @property
+    def rounds(self):
+        return ((self.horizon, self.decide),)
 
     def decide(self, view):
         raise NotImplementedError
@@ -67,109 +73,63 @@ class SafeAlgorithm(LocalAlgorithm):
         return best
 
 
-def view_ball(view, start, radius):
-    """Radius-``radius`` ball around ``start`` walked over the view's
-    incidence ``(rows_of, resources, beneficiaries)``.
+def local_subproblem(view):
+    """The problem clipped to the view's members, as an :class:`Instance`.
 
-    Expanding a node requires knowing all of its hyperedges, which the view
-    only has for members, so its ``rows_of`` holds members only and
-    :func:`~maxminlp.hypergraph.distances` refuses a walk that reaches any
-    other node.  That is a locality violation, raised rather than truncated.
+    Every resource row keeps its members' coefficients; a benefit row is
+    kept only when it lies fully inside, otherwise its value would be
+    misstated.  The view's ``None`` marks exactly the entries beyond its
+    members, so no ``None`` reaches the result.  Agents, rows and entries
+    keep the view's ascending order.
     """
-    if start not in view.rows_of:
-        raise LocalAlgorithmError(f"agent {start} is outside the view of {view.center}")
+    resources = {
+        i: {w: a for w, a in row.items() if a is not None}
+        for i, row in view.resources.items()
+    }
+    beneficiaries = {
+        k: row for k, row in view.beneficiaries.items() if None not in row.values()
+    }
+    return Instance(view.rows_of, resources, beneficiaries)
+
+
+def local_lp_solution(view):
+    """Canonical optimum of the LP clipped to the view's members, keyed by
+    agent, read-only.
+
+    For the radius-R view of u that is the LP of the ball B(u, R).  All-zero
+    when no benefit row fits inside: the objective would be vacuous there,
+    and zero keeps every packing row slack.  The subproblem is canonical and
+    the solver's pivot path is fixed, so the numbers are a pure function of
+    the ball's rows.  A failing solve raises :class:`LocalAlgorithmError`
+    naming the ball's centre, R and size, chained from the solver's error.
+    """
+    sub = local_subproblem(view)
+    if not sub.beneficiaries:
+        return MappingProxyType(dict.fromkeys(sub.agents, 0.0))
+    from .lp import solve_maxmin
+
     try:
-        return frozenset(
-            distances((view.rows_of, view.resources, view.beneficiaries), start, radius)
-        )
-    except ValueError:
+        assignment, _ = solve_maxmin(sub)
+    except (ArithmeticError, ValueError) as exc:
         raise LocalAlgorithmError(
-            f"ball of radius {radius} around {start} leaves the view of {view.center}"
-        ) from None
-
-
-def local_subproblem(view, ball):
-    """The clipped problem visible inside one inner ball, as sorted tuples.
-
-    ``(agents, resources, beneficiaries)``, each row ``(id, ((agent, coeff),
-    ...))`` with ids ascending and agents in the view's row order.  Resources
-    that meet the ball keep their inside coefficients; benefit rows must lie
-    fully inside, otherwise their value would be misstated.  ``ball`` holds
-    members only, so no ``None`` of the view reaches the result.  The rows
-    are those of the ball's members, from the view's ``rows_of``, so the
-    cost follows the rows that meet the ball rather than the whole view.
-    """
-    touched = set()
-    for w in ball:
-        touched.update(view.rows_of[w])
-    # tuples from lists or sized views, not generators: the memo keeps every
-    # key for the run, and with generator-built tuples the heap held at the
-    # run's last ball LP was 1.4 times as large (perturbed 8x8, R=2)
-    resources = []
-    beneficiaries = []
-    for i in sorted(touched):
-        row = view.resources.get(i)
-        if row is not None:
-            resources.append((i, tuple([(w, a) for w, a in row.items() if w in ball])))
-        else:
-            row = view.beneficiaries[i]
-            if ball.issuperset(row):
-                beneficiaries.append((i, tuple(row.items())))
-    return tuple(sorted(ball)), tuple(resources), tuple(beneficiaries)
-
-
-def local_lp_solution(view, u, R, ball):
-    """Canonical optimum of the ball-(u, R) subproblem, keyed by agent.
-
-    All-zero when no benefit row fits inside the ball: the objective would be
-    vacuous there, and zero keeps every packing row slack.  Any agent whose
-    view contains B(u, R) computes the exact same numbers, because the
-    subproblem is canonical and the solver's pivot path is fixed.  ``ball``
-    is B(u, R), as :func:`view_ball` walks it.
-
-    Inside :func:`run_local` the optimum is memoised on the tuple that
-    :func:`local_subproblem` returns -- agents, rows and coefficients, never
-    the deciding agent, the ball centre or any run state -- and a miss solves
-    the LP built from exactly that key, so a hit returns what a fresh solve
-    would.  Outside ``run_local`` there is no memo and every call solves.  A
-    failing solve raises :class:`LocalAlgorithmError` naming the deciding
-    agent, u, R and the ball size, chained from the solver's error.
-    """
-    sub = local_subproblem(view, ball)
-    agents, resources, beneficiaries = sub
-    if not beneficiaries:
-        return {w: 0.0 for w in agents}
-    memo = _BALL_LP_MEMO.get()
-    if memo is None:
-        memo = {}
-    # one look-up hashes the key once; tuples do not cache their hash
-    values = memo.get(sub)
-    if values is None:
-        from .lp import solve_maxmin
-
-        rows = ({rid: dict(row) for rid, row in kind} for kind in (resources, beneficiaries))
-        try:
-            assignment, _ = solve_maxmin(Instance(agents, *rows))
-        except (ArithmeticError, ValueError) as exc:
-            raise LocalAlgorithmError(
-                f"agent {view.center}: LP of the ball around u={u} with R={R} "
-                f"({len(ball)} agents) failed: {exc}"
-            ) from exc
-        values = memo[sub] = assignment.values
-    # a copy, so a caller that edits its result cannot alter later hits
-    return dict(values)
+            f"LP of the ball around u={view.center} with R={view.horizon} "
+            f"({len(sub.agents)} agents) failed: {exc}"
+        ) from exc
+    return MappingProxyType(assignment.values)
 
 
 class LocalAveraging(LocalAlgorithm):
-    """Averaged inner-ball optima, damped by the worst ball-size skew.
+    """Averaged ball optima, damped by the worst ball-size skew.
 
-    The deciding agent j averages its own coordinate of the canonical optima
-    of all subproblems B(u, R) with u in B(j, R), then scales by
+    Two rounds, both at horizon R.  In the first, every agent u solves the
+    LP of its own ball B(u, R).  In the second, agent j averages its own
+    coordinate of the optima of all u in B(j, R), then scales by
     beta_j = min over its resources of (smallest ball)/(union of balls).
     The damping is exactly what keeps the averaged point feasible; the
     averaging is what keeps every benefit row within a growth-controlled
-    factor of optimum.  Needs a 2R+1 horizon: the farthest subproblem
-    reaches R beyond an agent R hops away, plus one hop of row supports.
+    factor of optimum.  The rounds compose to a radius-2R view, whose rows
+    name their supports one hop further, so the registered horizon 2R+1
+    bounds everything a value depends on.
     """
 
     def __init__(self, R):
@@ -179,48 +139,46 @@ class LocalAveraging(LocalAlgorithm):
         self.name = f"local-avg[R={self.R}]"
         self.horizon = 2 * self.R + 1
 
-    def decide(self, view):
+    @property
+    def rounds(self):
+        return (self.R, self.solve_ball), (self.R, self.average)
+
+    def solve_ball(self, view):
+        """Round 1: the centre's ball and its read-only LP optimum."""
+        return frozenset(view.rows_of), local_lp_solution(view)
+
+    def average(self, view, prior):
+        """Round 2: the damped average over the members' ball optima."""
         j = view.center
-        cache = {}
-
-        def ball(w):
-            if w not in cache:
-                cache[w] = view_ball(view, w, self.R)
-            return cache[w]
-
-        inner = sorted(ball(j))
         total = 0.0
-        for u in inner:
-            total += local_lp_solution(view, u, self.R, ball(u))[j]
+        for u in view.rows_of:
+            total += prior[u][1][j]
 
         beta = None
         for row in view.resources.values():
             if j not in row:
                 continue
-            smallest = min(len(ball(w)) for w in row)
+            smallest = min(len(prior[w][0]) for w in row)
             union = set()
             for w in row:
-                union |= ball(w)
+                union |= prior[w][0]
             fraction = smallest / len(union)
             if beta is None or fraction < beta:
                 beta = fraction
         if beta is None:
             raise LocalAlgorithmError(f"agent {j} touches no resource")
-        return beta / len(inner) * total
+        return beta / len(view.rows_of) * total
 
 
 def run_local(instance, algorithm):
-    """Run a local algorithm one agent at a time.
+    """Run a local algorithm round by round, one agent at a time.
 
-    Every value is produced from that agent's own radius-``horizon`` view and
-    nothing else.  Evaluation order cannot matter because decide() is pure;
-    the executor still walks agents in ascending order so failures reproduce.
-
-    For the duration of the call, :func:`local_lp_solution` shares one memo
-    of ball-LP optima keyed on subproblem content, so each distinct ball LP
-    is solved once per run rather than once per agent that sees it.  The memo
-    is dropped when the call returns or raises; nothing carries over to the
-    next run or to direct ``decide()`` calls.
+    ``algorithm.rounds`` is a sequence of ``(horizon, step)`` pairs.  In each
+    round every agent's step sees its own radius-``horizon`` view and, after
+    the first round, the previous round's outputs of that view's members and
+    nothing else.  The last round's outputs are the values.  Evaluation order
+    cannot matter because steps are pure; the executor still walks agents in
+    ascending order so failures reproduce.
 
     Raises :class:`InvalidInstanceError` before any agent decides when the
     instance fails :func:`~maxminlp.model.validate`.
@@ -228,22 +186,24 @@ def run_local(instance, algorithm):
     violations = validate(instance)
     if violations:
         raise InvalidInstanceError(violations)
-    token = _BALL_LP_MEMO.set({})
-    try:
-        values = {}
+    outputs = None
+    for horizon, step in algorithm.rounds:
+        prior, outputs = outputs, {}
         for v in instance.agents:
-            view = extract_view(instance, v, algorithm.horizon)
-            value = algorithm.decide(view)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or not math.isfinite(value) or value < 0:
-                raise LocalAlgorithmError(
-                    f"algorithm {algorithm.name!r} returned {value!r} for agent {v}; "
-                    "values must be finite and nonnegative"
-                )
-            values[v] = float(value)
-    finally:
-        _BALL_LP_MEMO.reset(token)
-    return Assignment(values)
+            view = extract_view(instance, v, horizon)
+            if prior is None:
+                outputs[v] = step(view)
+            else:
+                outputs[v] = step(view, {u: prior[u] for u in view.rows_of})
+    for v, value in outputs.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                or not math.isfinite(value) or value < 0:
+            raise LocalAlgorithmError(
+                f"algorithm {algorithm.name!r} returned {value!r} for agent {v}; "
+                "values must be finite and nonnegative"
+            )
+        outputs[v] = float(value)
+    return Assignment(outputs)
 
 
 def make_algorithm(name, R=None):

@@ -10,9 +10,11 @@ other two map a row id to the row, a map keyed by its support.
 same shape: its ``rows_of`` holds its members' entries of that map and no
 others, and its rows hold ``None`` for every coefficient beyond the horizon.
 :func:`distances` is the one breadth-first search over an incidence, and
-:func:`ball` wraps it.  Growth factors, views, the local algorithms'
-balls, the adversary's carve and its template's girth all walk through
-:func:`distances`.  Only the template greedy keeps a search of its own, the
+:func:`ball` wraps it.  Growth factors, views, the adversary's carve
+and its template's girth all walk through :func:`distances`; a local
+algorithm's ball is the members of its centre's view, so ``local-avg``,
+which runs two rounds at horizon R under its registered horizon 2R + 1,
+walks nothing but views.  Only the template greedy keeps a search of its own, the
 bitmask steps of ``lowerbound._PartialTemplate.rights_within``, which build
 the template several times faster.  An agent's radius-r knowledge is a
 :class:`View`.

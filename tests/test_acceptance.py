@@ -10,6 +10,7 @@ never read back from the algorithm under test.
 import random
 import time
 
+import local_avg_reference
 import oracles
 from cli_child import cli
 from maxminlp.algorithms import (
@@ -17,7 +18,6 @@ from maxminlp.algorithms import (
     SafeAlgorithm,
     local_lp_solution,
     run_local,
-    view_ball,
 )
 from maxminlp.evaluation import (
     benefits,
@@ -182,19 +182,19 @@ def test_criterion_7_determinism(tmp_path):
                         "--radius", "1", "-o", "x.json"], "x.json",
                        moved_dir) == run_blob
 
-    # two different viewers solve the same local subproblem bit-identically
+    # the centre's ball LP, from its own view, is bit-identical to the one
+    # the test reference clips from the instance's raw rows
     inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=3))
     R = 1
     centre = 0
-    viewers = sorted(oracles.ball(inst, centre, R) - {centre})[:2]
-    assert len(viewers) == 2
-    views = [extract_view(inst, j, 2 * R + 1) for j in viewers]
-    solutions = [local_lp_solution(view, centre, R, view_ball(view, centre, R)) for view in views]
-    assert solutions[0] == solutions[1]
+    ball = oracles.ball(inst, centre, R)
+    assert len(ball) >= 3
+    solution = local_lp_solution(extract_view(inst, centre, R))
+    assert solution == local_avg_reference.ball_lp(inst, ball)
     elapsed = time.monotonic() - t0
     print("ACCEPTANCE 7 PASS: byte-identical reruns for five commands, "
-          "location-independent outputs, and viewer-independent local "
-          f"solutions in {elapsed:.2f}s")
+          "location-independent outputs, and local solutions that match "
+          f"the raw-row reference in {elapsed:.2f}s")
 
 
 def _mutate_outside(inst, protected, seed):

@@ -1,9 +1,11 @@
+import contextlib
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import local_avg_reference
 import oracles
 from maxminlp import algorithms, hypergraph, lp
 from maxminlp.algorithms import (
@@ -16,7 +18,6 @@ from maxminlp.algorithms import (
     local_subproblem,
     make_algorithm,
     run_local,
-    view_ball,
 )
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.generators import TorusParams, gen_random, gen_torus
@@ -49,17 +50,20 @@ def test_safe_takes_the_most_conservative_share():
 
 @pytest.mark.parametrize("algorithm", [SafeAlgorithm(), LocalAveraging(1)])
 def test_a_centre_without_a_resource_is_refused(algorithm):
-    # agent 0 sits in benefit row 5 only; agent 1's resource bounds both
-    # ball LPs, so local-avg gets as far as its damping before refusing
+    # agent 0 sits in benefit row 5 only; local-avg's last round, handed both
+    # members' ball optima, gets as far as its damping before refusing
     view = View(
         center=0,
-        horizon=3,
+        horizon=1,
         rows_of={0: (5,), 1: (4, 5, 6)},
         resources={4: {1: 1.0}},
         beneficiaries={5: {0: 1.0, 1: 1.0}, 6: {1: 1.0}},
     )
+    *earlier, (_, step) = algorithm.rounds
+    ball = frozenset(view.rows_of)
+    prior = dict.fromkeys(ball, (ball, {0: 1.0, 1: 1.0}))
     with pytest.raises(LocalAlgorithmError, match="agent 0 touches no resource"):
-        algorithm.decide(view)
+        step(view, prior) if earlier else step(view)
 
 
 @pytest.mark.parametrize("dim, side", [(1, 4), (1, 6), (2, 4), (2, 8)])
@@ -90,15 +94,6 @@ def test_zero_algorithm_is_trivially_feasible():
     assert feasibility(inst, out)[0]
 
 
-def test_view_ball_enforces_locality():
-    view = extract_view(path4(), 1, 1)
-    assert view_ball(view, 1, 1) == frozenset({0, 1, 2})
-    with pytest.raises(LocalAlgorithmError, match="agent 3 is outside the view of 1"):
-        view_ball(view, 3, 1)  # start outside the members
-    with pytest.raises(LocalAlgorithmError, match="around 1 leaves the view of 1"):
-        view_ball(view, 1, 2)  # radius 2 would need agent 3's edges
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6),
@@ -116,42 +111,12 @@ def test_local_outputs_are_feasible_on_small_random_instances(
         assert sum(a * x[v] for v, a in row.items()) <= 1.0 + 1e-9
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 14), st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 2))
-def test_view_ball_is_the_true_ball_inside_an_averaging_view(n_agents, max_support, seed, R):
-    inst = gen_random(n_agents, max_support, seed=seed)
-    center = inst.agents[seed % len(inst.agents)]
-    view = extract_view(inst, center, 2 * R + 1)
-    for u in oracles.ball(inst, center, R):
-        assert view_ball(view, u, R) == oracles.ball(inst, u, R)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 14), st.integers(1, 4), st.integers(0, 10**6),
-    st.integers(0, 3), st.integers(0, 4),
-)
-def test_view_ball_raises_exactly_when_the_ball_leaves_the_view(
-    n_agents, max_support, seed, horizon, radius
-):
-    inst = gen_random(n_agents, max_support, seed=seed)
-    center = inst.agents[seed % len(inst.agents)]
-    view = extract_view(inst, center, horizon)
-    for u in view.rows_of:
-        want = oracles.ball(inst, u, radius)
-        if want <= view.rows_of.keys():
-            assert view_ball(view, u, radius) == want
-        else:
-            with pytest.raises(LocalAlgorithmError, match="leaves the view"):
-                view_ball(view, u, radius)
-
-
 def test_local_subproblem_clips_resources_keeps_inside_benefits():
-    view = extract_view(path4(), 1, 2)
-    assert local_subproblem(view, {0, 1, 2}) == (
+    view = extract_view(path4(), 1, 1)
+    assert local_subproblem(view) == Instance(
         (0, 1, 2),
-        ((0, ((0, 1.0), (1, 1.0))), (1, ((2, 1.0),))),
-        ((2, ((1, 1.0), (2, 1.0))), (3, ((0, 1.0),))),
+        {0: {0: 1.0, 1: 1.0}, 1: {2: 1.0}},
+        {2: {1: 1.0, 2: 1.0}, 3: {0: 1.0}},
     )
 
 
@@ -163,25 +128,16 @@ def test_local_lp_zero_when_no_benefit_row_fits():
         resources={0: {0: 1.0, 1: 1.0}, 1: {1: 1.0, 2: 1.0}, 2: {2: 1.0, 3: 1.0}},
         beneficiaries={3: {2: 1.0, 3: 1.0}},
     )
-    view = extract_view(inst, 0, 3)
-    assert local_lp_solution(view, 0, 1, view_ball(view, 0, 1)) == {0: 0.0, 1: 0.0}
+    assert local_lp_solution(extract_view(inst, 0, 1)) == {0: 0.0, 1: 0.0}
 
 
-def test_local_lp_identical_from_any_viewer():
-    inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=11))
-    R = 1
-    horizon = 2 * R + 1
-    center = 0
-    viewers = sorted(oracles.ball(inst, center, R))
-    assert len(viewers) >= 3
-    reference = None
-    for j in viewers:
-        view = extract_view(inst, j, horizon)
-        got = local_lp_solution(view, center, R, view_ball(view, center, R))
-        if reference is None:
-            reference = got
-        else:
-            assert got == reference  # bit for bit, not approximately
+@pytest.mark.parametrize("R", [1, 2])
+def test_local_lp_matches_the_reference_ball_lp_from_raw_rows(torus11, R):
+    # each centre's ball LP, from its own radius-R view, equals the LP that
+    # the reference clips from the instance's rows, bit for bit
+    for u in torus11.agents:
+        got = local_lp_solution(extract_view(torus11, u, R))
+        assert got == local_avg_reference.ball_lp(torus11, oracles.ball(torus11, u, R))
 
 
 def test_averaging_constructor_validates_r():
@@ -306,7 +262,7 @@ def test_decides_from_the_view_alone(seed, alg_name, R):
     before = extract_view(inst, v, alg.horizon)
     after = extract_view(mutated, v, alg.horizon)
     assert before == after
-    assert alg.decide(before) == alg.decide(after)
+    assert run_local(inst, alg).values[v] == run_local(mutated, alg).values[v]
 
 
 def _counting_solver(monkeypatch):
@@ -328,8 +284,8 @@ def torus11():
 
 
 def test_run_local_solves_each_distinct_ball_lp_once(torus11, monkeypatch):
-    # 64 agents, each averaging over the 19 balls B(u, 2) it sees: 1,216
-    # look-ups of 64 distinct sub-problems, one per ball centre
+    # 64 agents, each solving its own ball B(u, 2) once in the first round;
+    # the second round only averages what its members hand over
     seen = _counting_solver(monkeypatch)
     run_local(torus11, LocalAveraging(2))
     assert len(seen) == 64
@@ -349,39 +305,39 @@ def _counting(monkeypatch, module, name):
 
 
 def test_one_walk_per_ball_and_one_instance_per_distinct_ball_lp(torus11, monkeypatch):
-    # each agent walks its view once and each of the 19 balls it averages
-    # over once: 64 * 20 walks.  Of the 1,216 ball-LP look-ups only the 64
-    # memo misses build an Instance
+    # each of the two rounds extracts every agent's radius-2 view once, one
+    # walk each: 2 * 64.  Only the 64 ball LPs of the first round build an
+    # Instance
+    views = _counting(monkeypatch, algorithms, "extract_view")
     walks = _counting(monkeypatch, hypergraph, "distances")
-    walks_in_views = _counting(monkeypatch, algorithms, "distances")
-    lookups = _counting(monkeypatch, algorithms, "local_lp_solution")
     builds = _counting(monkeypatch, Instance, "__init__")
     run_local(torus11, LocalAveraging(2))
-    assert len(walks) + len(walks_in_views) == 1_280
-    assert len(lookups) == 1_216
+    assert len(views) == 128
+    assert len(walks) == 128
     assert len(builds) == 64
 
 
-def test_memo_key_is_the_subproblem_and_a_given_ball_changes_nothing(torus11):
-    R = 2
-    view = extract_view(torus11, 0, 2 * R + 1)
-    for u in sorted(oracles.ball(torus11, 0, R)):
-        ball = view_ball(view, u, R)
-        token = algorithms._BALL_LP_MEMO.set({})
-        try:
-            got = local_lp_solution(view, u, R, ball)
-            memo = algorithms._BALL_LP_MEMO.get()
-        finally:
-            algorithms._BALL_LP_MEMO.reset(token)
-        assert list(memo) == [local_subproblem(view, ball)]
-        assert got == local_lp_solution(view, u, R, oracles.ball(torus11, u, R))
+def _bits(values):
+    return {v: x.hex() for v, x in values.items()}
 
 
-def test_memoised_run_matches_direct_decisions_bit_for_bit(torus11):
-    out = run_local(torus11, LocalAveraging(2)).values
-    alg = LocalAveraging(2)
-    for v in torus11.agents:
-        assert out[v] == alg.decide(extract_view(torus11, v, alg.horizon))
+@pytest.mark.parametrize("inst, R", [
+    (gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=11)), 2),
+    (gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=2)), 1),
+    (gen_torus(TorusParams(dim=2, side=8)), 2),
+    (gen_torus(TorusParams(dim=1, side=12, perturb=True, seed=5)), 2),
+], ids=["torus8x8-seed11-R2", "torus8x8-seed2-R1", "torus8x8-uniform-R2", "ring12-seed5-R2"])
+def test_run_local_matches_the_reference_bit_for_bit(inst, R):
+    got = run_local(inst, LocalAveraging(R)).values
+    assert _bits(got) == _bits(local_avg_reference.local_averaging(inst, R))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 2))
+def test_run_local_matches_the_reference_on_random_instances(n_agents, max_support, seed, R):
+    inst = gen_random(n_agents, max_support, seed=seed)
+    got = run_local(inst, LocalAveraging(R)).values
+    assert _bits(got) == _bits(local_avg_reference.local_averaging(inst, R))
 
 
 def _ring(scale=1.0):
@@ -400,13 +356,12 @@ def _fresh(inst, monkeypatch):
 
 def test_no_memo_survives_a_run(monkeypatch):
     # same agent ids, one coefficient apart: most balls of the two rings have
-    # identical content, so a memo that outlived the first run would let the
+    # identical content, so ball optima kept from the first run would let the
     # second solve fewer LPs than a fresh run does
     a, b = _ring(), _ring(scale=0.75)
     assert a.agents == b.agents and a != b
     b_fresh, b_solves = _fresh(b, monkeypatch)
     run_local(a, LocalAveraging(1))
-    assert algorithms._BALL_LP_MEMO.get() is None
     assert _fresh(b, monkeypatch) == (b_fresh, b_solves)
     assert run_local(a, LocalAveraging(1)).values != b_fresh
 
@@ -427,27 +382,31 @@ def test_no_memo_survives_a_run_that_raised(monkeypatch):
         m.setattr(lp, "solve_maxmin", failing)
         with pytest.raises(LocalAlgorithmError, match="injected"):
             run_local(inst, LocalAveraging(1))
-    assert algorithms._BALL_LP_MEMO.get() is None
     assert _fresh(inst, monkeypatch) == expected
 
 
 class _Clobbering(LocalAveraging):
-    """Edits the ball optimum it is handed before deciding as usual."""
+    """A second round that tries to zero every member's ball optimum before
+    averaging as usual."""
 
-    def decide(self, view):
-        j = view.center
-        local_lp_solution(view, j, self.R, view_ball(view, j, self.R)).clear()
-        return super().decide(view)
+    def average(self, view, prior):
+        for _, optimum in prior.values():
+            with contextlib.suppress(TypeError):
+                for w in optimum:
+                    optimum[w] = 0.0
+        return super().average(view, prior)
 
 
-def test_editing_a_ball_optimum_does_not_reach_the_memo():
+def test_editing_a_members_ball_optimum_does_not_reach_other_agents():
+    # with writable optima the first agent would zero what every later
+    # agent averages
     inst = _ring()
     assert run_local(inst, _Clobbering(1)).values == run_local(inst, LocalAveraging(1)).values
 
 
 def test_failing_ball_lp_names_agent_ball_and_radius(monkeypatch):
-    # the solver is made to fail on the LP of one ball; the error must say
-    # which agent was deciding and which ball LP failed
+    # the solver is made to fail on the LP of one ball; the error must name
+    # that ball's centre, its radius and its size
     inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=2))
     doomed = tuple(sorted(oracles.ball(inst, 32, 2)))
     real = lp.solve_maxmin
@@ -462,18 +421,14 @@ def test_failing_ball_lp_names_agent_ball_and_radius(monkeypatch):
         run_local(inst, LocalAveraging(2))
     assert isinstance(info.value.__cause__, ArithmeticError)
     match = re.fullmatch(
-        r"agent (\d+): LP of the ball around u=(\d+) with R=2 \((\d+) agents\) "
-        r"failed: (.*)",
+        r"LP of the ball around u=(\d+) with R=2 \((\d+) agents\) failed: (.*)",
         str(info.value),
     )
     assert match, str(info.value)
-    j, u, size = (int(g) for g in match.groups()[:3])
-    assert u in oracles.ball(inst, j, 2)
-    assert size == len(oracles.ball(inst, u, 2))
-    assert match.group(4) == str(info.value.__cause__)
-    assert "infeasible point" in match.group(4)
-    # the named ball is the one that fails, seen from the named agent
-    view = extract_view(inst, j, 5)
+    assert (int(match.group(1)), int(match.group(2))) == (32, len(doomed))
+    assert match.group(3) == str(info.value.__cause__)
+    assert "infeasible point" in match.group(3)
+    # the named ball is the one that fails, solved from its centre's view
     with pytest.raises(LocalAlgorithmError) as again:
-        local_lp_solution(view, u, 2, view_ball(view, u, 2))
+        local_lp_solution(extract_view(inst, 32, 2))
     assert str(again.value) == str(info.value)

@@ -142,6 +142,25 @@ def test_run_audits_its_instance_once(tmp_path, monkeypatch, algorithm):
     assert audited == ["resource", "beneficiary"]
 
 
+@pytest.mark.parametrize("algorithm, values", [
+    (("safe",), {"0": 0.5, "1": 0.5}),
+    (("local-avg", "--radius", "1"), {"0": 0.0, "1": 0.0}),
+])
+def test_run_on_an_instance_without_beneficiaries(tmp_path, algorithm, values):
+    # every ball LP of local-avg is vacuous, so both rounds carry zeros
+    path = tmp_path / "empty_k.json"
+    path.write_text(json.dumps({
+        "agents": [0, 1],
+        "resources": [{"id": 0, "coeffs": {"0": 1, "1": 1}}],
+        "beneficiaries": [],
+    }))
+    out = tmp_path / "out.json"
+    proc = cli("run", str(path), "--algorithm", *algorithm, "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(": instance has no beneficiaries\n")
+    assert json.loads(out.read_text())["values"] == values
+
+
 def test_run_local_avg_requires_radius(tmp_path):
     path = gen_torus(tmp_path)
     proc = cli("run", str(path), "--algorithm", "local-avg")

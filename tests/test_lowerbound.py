@@ -639,6 +639,28 @@ def test_level_audit_is_exact():
     assert report["level_inequalities_ok"] is False
 
 
+class CountsItsDecisions(LocalAlgorithm):
+    """Outputs how many agents it has decided so far, across runs: a
+    horizon-1 algorithm that is not a function of its view."""
+
+    name = "counts-its-decisions"
+    horizon = 1
+
+    def __init__(self):
+        self.decided = 0
+
+    def decide(self, view):
+        self.decided += 1
+        return float(self.decided)
+
+
+def test_attack_refuses_outputs_that_differ_between_the_full_and_carved_runs():
+    # the carved run continues the count, so no agent of the selected tree
+    # repeats its value from the full run
+    with pytest.raises(ArithmeticError, match="outputs on the selected tree differ"):
+        adversarial_lower_bound(CountsItsDecisions(), 1, 1, 1, 2, seed=0)
+
+
 def test_certified_ratio_is_the_largest_float_at_most_the_quotient():
     # 1/3 rounds down to nearest and is kept; 9/5 rounds up to 1.8, so one
     # step down, not the float 1 / omega_alg(sub) two steps below that the

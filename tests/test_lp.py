@@ -204,6 +204,21 @@ def test_singular_basis_at_a_rebuild_is_refused(monkeypatch):
     assert 0 < pivots <= rows
 
 
+def test_an_infeasible_final_point_is_refused(monkeypatch):
+    # every basis the simplex reaches from the slack basis is feasible, so a
+    # run that stops after one exchange skipping the ratio test stands in for
+    # a drifted one: x = 1 fits resource 0 but loads resource 1 to 2
+    inst = Instance((0,), {0: {0: 1.0}, 1: {0: 2.0}}, {2: {0: 1.0}})
+
+    def stops_early(self):
+        self.exchange(0, 1)
+
+    monkeypatch.setattr(lp._Solve, "run", stops_early)
+    with pytest.raises(ArithmeticError, match="returned an infeasible point") as info:
+        solve_maxmin(inst)
+    assert _refusal(str(info.value))[:3] == (3, 2, 0)
+
+
 def test_rebuilds_run_every_m_pivots_and_depend_on_the_basis_alone():
     prog = assemble_maxmin_lp(_torus(10, 3))
     m = len(prog.rhs)
