@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 # names is first looked up, so ``import maxminlp`` loads none of them, and
 # numpy comes in only with the simplex in ``lp``
 _LAYER_OF = {
-    "TorusParams": "generators",
     "evaluate": "evaluation",
     "gen_torus": "generators",
     "make_algorithm": "algorithms",

@@ -14,7 +14,7 @@ import math
 from types import MappingProxyType
 
 from .hypergraph import extract_view
-from .model import Assignment, Instance, InvalidInstanceError, validate
+from .model import Instance, InvalidInstanceError, validate
 
 
 class LocalAlgorithmError(RuntimeError):
@@ -109,13 +109,13 @@ def local_lp_solution(view):
     from .lp import solve_maxmin
 
     try:
-        assignment, _ = solve_maxmin(sub)
+        values, _ = solve_maxmin(sub)
     except (ArithmeticError, ValueError) as exc:
         raise LocalAlgorithmError(
             f"LP of the ball around u={view.center} with R={view.horizon} "
             f"({len(sub.agents)} agents) failed: {exc}"
         ) from exc
-    return MappingProxyType(assignment.values)
+    return MappingProxyType(values)
 
 
 class LocalAveraging(LocalAlgorithm):
@@ -176,7 +176,8 @@ def run_local(instance, algorithm):
     ``algorithm.rounds`` is a sequence of ``(horizon, step)`` pairs.  In each
     round every agent's step sees its own radius-``horizon`` view and, after
     the first round, the previous round's outputs of that view's members and
-    nothing else.  The last round's outputs are the values.  Evaluation order
+    nothing else.  The last round's outputs, as floats in a plain dict from
+    agent id to value, are the assignment returned.  Evaluation order
     cannot matter because steps are pure; the executor still walks agents in
     ascending order so failures reproduce.
 
@@ -203,7 +204,7 @@ def run_local(instance, algorithm):
                 "values must be finite and nonnegative"
             )
         outputs[v] = float(value)
-    return Assignment(outputs)
+    return outputs
 
 
 def make_algorithm(name, R=None):

@@ -46,10 +46,9 @@ def _save_generated(instance, args, **resolved):
 
 
 def _cmd_gen_torus(args):
-    from .generators import TorusParams, gen_torus
+    from .generators import gen_torus
 
-    params = TorusParams(dim=args.dim, side=args.side, perturb=args.perturb, seed=args.seed)
-    _save_generated(gen_torus(params), args)
+    _save_generated(gen_torus(args.dim, args.side, args.perturb, args.seed), args)
 
 
 def _cmd_gen_random(args):

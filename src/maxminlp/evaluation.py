@@ -1,4 +1,7 @@
-"""Judging assignments: feasibility, objectives, ratios, the growth certificate."""
+"""Judging assignments: feasibility, objectives, ratios, the growth certificate.
+
+An assignment is a plain dict from agent id to activity.
+"""
 
 import math
 from typing import NamedTuple
@@ -10,7 +13,7 @@ FEASIBILITY_TOL = 1e-9
 def _check_domain(instance, assignment):
     # key views compare as sets, and the instance's incidence map is keyed
     # by its agents and cached, so no agent-keyed set is built per check
-    if assignment.values.keys() != instance.agent_rows().keys():
+    if assignment.keys() != instance.agent_rows().keys():
         raise ValueError("assignment domain does not match the instance's agents")
 
 
@@ -20,7 +23,8 @@ def _sums(rows, x):
 
 
 def feasibility(instance, assignment):
-    """(feasible, max violation): the worst resource-row overshoot.
+    """(feasible, max violation) of an assignment, a dict from agent id to
+    activity: the worst resource-row overshoot.
 
     The violation of a row is (load - 1); the reported maximum is negative
     when every row has slack.  Both it and negative activities are held to
@@ -29,27 +33,26 @@ def feasibility(instance, assignment):
     agent in a note.
     """
     _check_domain(instance, assignment)
-    x = assignment.values
-    worst = max(_sums(instance.resources.values(), x), default=-math.inf) - 1.0
-    lowest = min(x.values(), default=0.0)
+    worst = max(_sums(instance.resources.values(), assignment), default=-math.inf) - 1.0
+    lowest = min(assignment.values(), default=0.0)
     feasible = worst <= FEASIBILITY_TOL and lowest >= -FEASIBILITY_TOL
     return feasible, worst
 
 
 def benefits(instance, assignment):
-    """Benefit collected by each beneficiary row."""
+    """Benefit collected by each beneficiary row at an assignment, a dict
+    from agent id to activity."""
     _check_domain(instance, assignment)
-    return dict(
-        zip(instance.beneficiaries, _sums(instance.beneficiaries.values(), assignment.values))
-    )
+    return dict(zip(instance.beneficiaries, _sums(instance.beneficiaries.values(), assignment)))
 
 
 def objective(instance, assignment):
-    """Smallest beneficiary benefit, taken without keeping every benefit."""
+    """Smallest beneficiary benefit at an assignment, a dict from agent id to
+    activity, taken without keeping every benefit."""
     _check_domain(instance, assignment)
     if not instance.beneficiaries:
         raise ValueError("empty K: the objective needs at least one beneficiary")
-    return min(_sums(instance.beneficiaries.values(), assignment.values))
+    return min(_sums(instance.beneficiaries.values(), assignment))
 
 
 def exact_sums(rows, x):
@@ -87,7 +90,8 @@ class EvaluationReport(NamedTuple):
 
 
 def evaluate(instance, assignment, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
-    """One-stop report for an (instance, assignment) pair.
+    """One-stop report for an instance and an assignment, a dict from agent
+    id to activity over exactly the instance's agents.
 
     Passing the averaging radius R adds the growth certificate
     gamma(R-1) * gamma(R) that the averaged-local-solutions guarantee quotes.
@@ -99,7 +103,7 @@ def evaluate(instance, assignment, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
     feasible, worst = feasibility(instance, assignment)
     got = benefits(instance, assignment)
     notes = []
-    value, agent = min(((x, v) for v, x in assignment.values.items()), default=(0.0, None))
+    value, agent = min(((x, v) for v, x in assignment.items()), default=(0.0, None))
     if value < -FEASIBILITY_TOL:
         notes.append(f"negative activity: agent {agent} has {value:.12g}")
     omega = min(got.values()) if got else None

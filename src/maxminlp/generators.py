@@ -3,53 +3,45 @@
 import itertools
 import math
 import random
-from typing import NamedTuple
 
 from .model import Instance
 
 
-class TorusParams(NamedTuple):
-    dim: int
-    side: int
-    perturb: bool = False
-    seed: int = 0
-
-
-def gen_torus(params):
+def gen_torus(dim, side, perturb=False, seed=0):
     """Wrap-around grid with one agent per cell of {0..side-1}^dim.
 
     Each cell carries one packing row over itself and its positive-direction
     neighbours and one benefit row over itself and its negative-direction
     neighbours, so every degree bound equals dim+1.  Unperturbed, the uniform
     point 1/(dim+1) meets every row exactly and the optimum is one.
-    Perturbation redraws every coefficient uniformly from [1/2, 1], seeded.
+    Perturbation redraws every coefficient uniformly from [1/2, 1], drawn
+    from ``seed``; identical arguments reproduce the identical instance.
     """
-    d, n = params.dim, params.side
-    if d < 1:
+    if dim < 1:
         raise ValueError("dim must be at least 1")
-    if n < 3:
+    if side < 3:
         raise ValueError("side must be at least 3 so supports stay distinct")
 
-    weights = [n ** (d - 1 - j) for j in range(d)]
+    weights = [side ** (dim - 1 - j) for j in range(dim)]
 
     def cell_id(z):
         return sum(zj * w for zj, w in zip(z, weights))
 
-    rng = random.Random(params.seed)
+    rng = random.Random(seed)
 
     def coeff():
-        return rng.uniform(0.5, 1.0) if params.perturb else 1.0
+        return rng.uniform(0.5, 1.0) if perturb else 1.0
 
-    n_cells = n ** d
+    n_cells = side ** dim
     resources = {}
     beneficiaries = {}
-    for z in itertools.product(range(n), repeat=d):
+    for z in itertools.product(range(side), repeat=dim):
         i = cell_id(z)
         plus = [i] + [
-            cell_id(z[:j] + ((z[j] + 1) % n,) + z[j + 1 :]) for j in range(d)
+            cell_id(z[:j] + ((z[j] + 1) % side,) + z[j + 1 :]) for j in range(dim)
         ]
         minus = [i] + [
-            cell_id(z[:j] + ((z[j] - 1) % n,) + z[j + 1 :]) for j in range(d)
+            cell_id(z[:j] + ((z[j] - 1) % side,) + z[j + 1 :]) for j in range(dim)
         ]
         resources[i] = {v: coeff() for v in plus}
         beneficiaries[n_cells + i] = {v: coeff() for v in minus}

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .evaluation import exact_sums, objective
 from .hypergraph import ball, distances, incidence
-from .model import Assignment, Instance, InvalidInstanceError, restrict
+from .model import Instance, InvalidInstanceError, restrict
 from .algorithms import run_local
 
 NODE_CAP = 200_000
@@ -370,16 +370,17 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
     return instance, meta
 
 
-def select_hard_subinstance(instance, meta, assignment):
+def select_hard_subinstance(instance, meta, x):
     """Pick the tree whose leaves fare best against their partners and carve
     it out together with a radius-2r shell around its leaves.  Returns
     (sub-instance, selected template vertex p, delta by template vertex).
 
-    delta(q) sums x(leaf) - x(partner) over q's leaves.  The pairing is
-    checked to be a fixed-point-free involution on exactly the trees' leaves:
-    it then permutes them, so in exact arithmetic the deltas cancel and the
-    best tree is never negative.  Ties go to the lowest template vertex id.
-    The carve keeps only rows fully inside.
+    ``x`` is the algorithm's assignment on ``instance``, a dict from agent id
+    to activity, and delta(q) sums x(leaf) - x(partner) over q's leaves.
+    The pairing is checked to be a fixed-point-free involution on exactly
+    the trees' leaves: it then permutes them, so in exact arithmetic the
+    deltas cancel and the best tree is never negative.  Ties go to the
+    lowest template vertex id.  The carve keeps only rows fully inside.
     """
     pair = meta.leaf_pair
     leaves = [meta.tree_levels[q][-1] for q in meta.template.vertices]
@@ -392,7 +393,6 @@ def select_hard_subinstance(instance, meta, assignment):
             "the leaf pairing is not a fixed-point-free involution on the trees' "
             "leaves, so the leaf deltas need not cancel"
         )
-    x = assignment.values
     delta = {
         q: sum(x[v] - x[pair[v]] for v in tree)
         for q, tree in zip(meta.template.vertices, leaves)
@@ -410,7 +410,8 @@ def select_hard_subinstance(instance, meta, assignment):
 
 
 def parity_solution(sub_instance, root):
-    """Activity 1 on agents an even number of hops from the selected tree's root.
+    """Activity 1 on agents an even number of hops from the selected tree's
+    root and 0 on the rest, as a dict from agent id to activity.
 
     On the carved sub-instance the incidence structure is a tree, packing and
     benefit rows alternate along every root path, and this point meets every
@@ -423,9 +424,7 @@ def parity_solution(sub_instance, root):
         raise ArithmeticError(
             f"carved sub-instance is disconnected from the root: {sorted(missing)[:5]}"
         )
-    return Assignment(
-        {v: 1.0 if dist[v] % 2 == 0 else 0.0 for v in sub_instance.agents}
-    )
+    return {v: 1.0 if dist[v] % 2 == 0 else 0.0 for v in sub_instance.agents}
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +484,7 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
             "carved sub-instance failed validation: " + "; ".join(exc.violations[:5])
         ) from exc
 
-    if any(x_full.values[v] != x_sub.values[v] for v in meta.tree_agents(p)):
+    if any(x_full[v] != x_sub[v] for v in meta.tree_agents(p)):
         raise ArithmeticError(
             "outputs on the selected tree differ between the full and carved runs; "
             "views at the registered horizon should have been identical"
@@ -493,18 +492,17 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
 
     omega_sub = objective(sub, x_sub)
     parity = parity_solution(sub, meta.tree_levels[p][0][0])
-    loads = exact_sums(sub.resources, parity.values)
-    gains = exact_sums(sub.beneficiaries, parity.values)
+    loads = exact_sums(sub.resources, parity)
+    gains = exact_sums(sub.beneficiaries, parity)
     load = max(loads, default=0)
-    x = x_sub.values
     # the parity point scaled down by its largest resource load, when that
     # exceeds one, is feasible, so its smallest benefit over that load is at
     # most omega*(sub)
     witness = min(gains) / max(1, load)
-    ratio = _certified_ratio(witness, min(exact_sums(sub.beneficiaries, x)))
+    ratio = _certified_ratio(witness, min(exact_sums(sub.beneficiaries, x_sub)))
 
     levels = meta.tree_levels[p]
-    sums = [sum(x[v] for v in level) for level in levels]
+    sums = [sum(x_sub[v] for v in level) for level in levels]
     # consecutive level pairs share the (dD)^j unit packing rows between
     # them, so their joint activity is capped by the count of those rows
     pairs = {
@@ -512,7 +510,7 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
         for j in range(len(levels) // 2)
     }
     caps = [(d * D) ** j for j in pairs]
-    pair_ok = all(total <= cap for total, cap in zip(exact_sums(pairs, x), caps))
+    pair_ok = all(total <= cap for total, cap in zip(exact_sums(pairs, x_sub), caps))
 
     params = {
         "algorithm": algorithm.name,

@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .evaluation import FEASIBILITY_TOL
-from .model import Assignment
 
 # smallest column entry the ratio test pivots on
 PIVOT_TOL = 1e-7
@@ -39,10 +38,6 @@ OPTIMALITY_TOL = 1e-12
 SINGULAR_TOL = 1e-11
 # pivots allowed per row and per column before the solver refuses
 _PIVOT_BUDGET_FACTOR = 50
-
-
-class EmptyBeneficiaryError(ValueError):
-    """The max-min objective is undefined without beneficiary rows (empty K)."""
 
 
 class MaxMinLP(NamedTuple):
@@ -63,9 +58,7 @@ def assemble_maxmin_lp(sub_instance):
     instance order.
     """
     if not sub_instance.beneficiaries:
-        raise EmptyBeneficiaryError(
-            "empty K: the max-min objective needs at least one beneficiary"
-        )
+        raise ValueError("empty K: the max-min objective needs at least one beneficiary")
     col = {v: 1 + t for t, v in enumerate(sub_instance.agents)}
     entries = []
     r = 0
@@ -240,7 +233,8 @@ class _Solve:
 
 
 def solve_maxmin(sub_instance):
-    """Canonical optimum of the assembled max-min LP: (assignment, omega).
+    """Canonical optimum of the assembled max-min LP: (values, omega), where
+    ``values`` is a plain dict from agent id to activity.
 
     The fixed pivot path makes the answer a pure function of the
     sub-instance.  Raises ``ArithmeticError``, naming the program's size,
@@ -258,4 +252,4 @@ def solve_maxmin(sub_instance):
     if x.min() < -FEASIBILITY_TOL or excess.max() > FEASIBILITY_TOL:
         solve.refuse("returned an infeasible point")
     values = {v: max(0.0, float(x[1 + t])) for t, v in enumerate(sub_instance.agents)}
-    return Assignment(values), max(0.0, float(x[0]))
+    return values, max(0.0, float(x[0]))

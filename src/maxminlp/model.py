@@ -8,7 +8,8 @@ smallest beneficiary benefit subject to unit resource capacities:
                        x_v >= 0.
 
 Rows are sparse maps ``agent id -> coefficient`` holding strictly positive
-entries only; an absent key is a structural zero.
+entries only; an absent key is a structural zero.  An assignment, one
+activity per agent, is a plain dict ``agent id -> float``.
 """
 
 import itertools
@@ -16,7 +17,6 @@ import json
 import math
 import operator
 from pathlib import Path
-from typing import NamedTuple
 
 
 class Instance:
@@ -159,12 +159,6 @@ def restrict(instance, agent_set):
         return {rid: row for rid, row in mapping.items() if kept.issuperset(row)}
 
     return Instance(tuple(sorted(kept)), inside(instance.resources), inside(instance.beneficiaries))
-
-
-class Assignment(NamedTuple):
-    """Activity levels keyed by agent id."""
-
-    values: dict
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +352,13 @@ def load_instance(path):
 
 
 def assignment_to_dict(assignment):
-    return {"values": {str(v): float(x) for v, x in sorted(assignment.values.items())}}
+    """The file payload of an assignment, a dict from agent id to activity."""
+    return {"values": {str(v): float(x) for v, x in sorted(assignment.items())}}
 
 
 def assignment_from_dict(payload):
+    """The assignment a file payload holds, as a dict from agent id to float;
+    raises ``ValueError`` on a malformed payload or a non-finite value."""
     try:
         values = _by_agent(_field(payload, "values", "top level"), "values")
         for v, x in values.items():
@@ -369,4 +366,4 @@ def assignment_from_dict(payload):
                 raise ValueError(f"agent {v} has the non-finite value {x!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed assignment payload: {exc}") from exc
-    return Assignment(values)
+    return values

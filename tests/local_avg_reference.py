@@ -31,7 +31,7 @@ def ball_lp(instance, ball):
     if not beneficiaries:
         return dict.fromkeys(agents, 0.0)
     sub = SimpleNamespace(agents=agents, resources=resources, beneficiaries=beneficiaries)
-    return solve_maxmin(sub)[0].values
+    return solve_maxmin(sub)[0]
 
 
 def local_averaging(instance, R):

@@ -24,7 +24,7 @@ from maxminlp.evaluation import (
     feasibility,
     objective,
 )
-from maxminlp.generators import TorusParams, gen_random, gen_torus
+from maxminlp.generators import gen_random, gen_torus
 from maxminlp.hypergraph import extract_view
 from maxminlp.lowerbound import (
     build_adversarial_instance,
@@ -69,7 +69,7 @@ def test_criterion_3_averaging_guarantee():
     t0 = time.monotonic()
     cases = [gen_random(n_agents=3 + seed % 10, max_support=3, seed=seed)
              for seed in range(50)]
-    cases.append(gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=11)))
+    cases.append(gen_torus(dim=2, side=8, perturb=True, seed=11))
     for idx, inst in enumerate(cases):
         _, omega_star = solve_maxmin(inst)
         for R in (1, 2):
@@ -92,7 +92,7 @@ def test_criterion_3_averaging_guarantee():
 
 def test_criterion_4_uniform_torus_exactness():
     t0 = time.monotonic()
-    inst = gen_torus(TorusParams(dim=2, side=8))
+    inst = gen_torus(dim=2, side=8)
     _, omega_star = solve_maxmin(inst)
     assert abs(omega_star - 1.0) <= 1e-9
     x = run_local(inst, SafeAlgorithm())
@@ -117,16 +117,16 @@ def test_criterion_5_adversarial_structural_suite():
 
     parity = parity_solution(sub, levels[0][0])
     feasible, worst = feasibility(sub, parity)
-    assert feasible and worst <= 0.0 and min(parity.values.values()) >= 0.0
+    assert feasible and worst <= 0.0 and min(parity.values()) >= 0.0
     for row in list(sub.resources.values()) + list(sub.beneficiaries.values()):
-        assert sum(coeff * parity.values[v] for v, coeff in row.items()) == 1.0
+        assert sum(coeff * parity[v] for v, coeff in row.items()) == 1.0
 
     x_sub = run_local(sub, algorithm)
     for v in meta.tree_agents(p):
         assert extract_view(full, v, r) == extract_view(sub, v, r)
-        assert x_full.values[v] == x_sub.values[v]
+        assert x_full[v] == x_sub[v]
 
-    sums = [sum(x_sub.values[v] for v in level) for level in levels]
+    sums = [sum(x_sub[v] for v in level) for level in levels]
     assert len(sums) == 2 * R
     for j in range(R):
         assert sums[2 * j] + sums[2 * j + 1] <= (d * D) ** j + 1e-9
@@ -184,7 +184,7 @@ def test_criterion_7_determinism(tmp_path):
 
     # the centre's ball LP, from its own view, is bit-identical to the one
     # the test reference clips from the instance's raw rows
-    inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=3))
+    inst = gen_torus(dim=2, side=8, perturb=True, seed=3)
     R = 1
     centre = 0
     ball = oracles.ball(inst, centre, R)
@@ -223,8 +223,8 @@ def test_criterion_8_locality_under_remote_mutation():
             mutated = _mutate_outside(inst, protected, seed)
             if mutated != inst:
                 nontrivial[algorithm.name] += 1
-            before = run_local(inst, algorithm).values[v]
-            after = run_local(mutated, algorithm).values[v]
+            before = run_local(inst, algorithm)[v]
+            after = run_local(mutated, algorithm)[v]
             assert before == after, f"seed {seed}, {algorithm.name}"
     # the sample must actually exercise remote mutations for both algorithms
     assert min(nontrivial.values()) >= 5, nontrivial

@@ -20,7 +20,7 @@ from maxminlp.algorithms import (
     run_local,
 )
 from maxminlp.evaluation import feasibility, objective
-from maxminlp.generators import TorusParams, gen_random, gen_torus
+from maxminlp.generators import gen_random, gen_torus
 from maxminlp.hypergraph import View, extract_view, growth_factor
 from maxminlp.lp import solve_maxmin
 from maxminlp.model import Instance
@@ -43,9 +43,9 @@ def test_safe_takes_the_most_conservative_share():
         beneficiaries={2: {0: 1.0, 2: 1.0}},
     )
     out = run_local(inst, SafeAlgorithm())
-    assert out.values[0] == 0.5
-    assert out.values[1] == 1.0 / (4.0 * 3.0)
-    assert out.values[2] == 1.0 / 3.0
+    assert out[0] == 0.5
+    assert out[1] == 1.0 / (4.0 * 3.0)
+    assert out[2] == 1.0 / 3.0
 
 
 @pytest.mark.parametrize("algorithm", [SafeAlgorithm(), LocalAveraging(1)])
@@ -70,9 +70,9 @@ def test_a_centre_without_a_resource_is_refused(algorithm):
 def test_safe_is_exact_on_uniform_tori(dim, side):
     # every row has d+1 unit entries, so each agent takes exactly 1/(d+1)
     # and each benefit row sums straight back to one
-    inst = gen_torus(TorusParams(dim=dim, side=side))
+    inst = gen_torus(dim=dim, side=side)
     out = run_local(inst, SafeAlgorithm())
-    assert set(out.values.values()) == {1.0 / (dim + 1)}
+    assert set(out.values()) == {1.0 / (dim + 1)}
     assert objective(inst, out) == 1.0
 
 
@@ -90,7 +90,7 @@ def test_safe_feasible_and_within_factor(seed):
 def test_zero_algorithm_is_trivially_feasible():
     inst = gen_random(8, 3, seed=1)
     out = run_local(inst, ZeroAlgorithm())
-    assert set(out.values.values()) == {0.0}
+    assert set(out.values()) == {0.0}
     assert feasibility(inst, out)[0]
 
 
@@ -103,7 +103,7 @@ def test_local_outputs_are_feasible_on_small_random_instances(
     n_agents, max_support, seed, name
 ):
     inst = gen_random(n_agents, max_support, seed=seed)
-    x = run_local(inst, make_algorithm(name, R=1 if name == "local-avg" else None)).values
+    x = run_local(inst, make_algorithm(name, R=1 if name == "local-avg" else None))
     assert sorted(x) == list(inst.agents)
     assert min(x.values()) >= 0.0
     # from the raw rows, not through evaluation.feasibility
@@ -152,9 +152,9 @@ def test_averaging_constructor_validates_r():
 def test_averaging_on_uniform_ring():
     # no translation symmetry claim here: tie-breaking is id-ordered, and the
     # id wrap at the ring seam legitimately shifts which optimum is picked
-    inst = gen_torus(TorusParams(dim=1, side=8))
+    inst = gen_torus(dim=1, side=8)
     out = run_local(inst, LocalAveraging(1))
-    assert run_local(inst, LocalAveraging(1)).values == out.values
+    assert run_local(inst, LocalAveraging(1)) == out
     assert feasibility(inst, out)[0]
     _, omega_star = solve_maxmin(inst)
     certificate = growth_factor(inst, 0) * growth_factor(inst, 1)
@@ -175,12 +175,12 @@ def test_averaging_meets_its_guarantee(seed, R):
 
 @pytest.mark.parametrize("R", [1, 2])
 def test_averaging_per_beneficiary_bound_on_perturbed_torus(R):
-    inst = gen_torus(TorusParams(dim=1, side=8, perturb=True, seed=2))
+    inst = gen_torus(dim=1, side=8, perturb=True, seed=2)
     out = run_local(inst, LocalAveraging(R))
     _, omega_star = solve_maxmin(inst)
     profile = oracles.locality_profile(inst, R)
     for k, row in inst.beneficiaries.items():
-        benefit = sum(c * out.values[v] for v, c in row.items())
+        benefit = sum(c * out[v] for v, c in row.items())
         m_k, M_k = profile.per_beneficiary[k]
         assert benefit >= profile.beta * (m_k / M_k) * omega_star - 1e-9
 
@@ -188,7 +188,7 @@ def test_averaging_per_beneficiary_bound_on_perturbed_torus(R):
 @pytest.mark.parametrize("seed", [2, 16, 23])
 def test_averaging_runs_on_tori_whose_ball_lps_once_failed(seed):
     # local-avg with R=2 exited 1 on these 8x8 tori while the simplex drifted
-    inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=seed))
+    inst = gen_torus(dim=2, side=8, perturb=True, seed=seed)
     out = run_local(inst, LocalAveraging(2))
     ok, worst = feasibility(inst, out)
     assert ok, worst
@@ -212,6 +212,14 @@ class _Misbehaving(LocalAlgorithm):
 
     def decide(self, view):
         return self.value
+
+
+def test_an_algorithm_without_decide_is_refused():
+    class Undecided(LocalAlgorithm):
+        horizon = 1
+
+    with pytest.raises(NotImplementedError):
+        run_local(path4(), Undecided())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, True, None, "x"])
@@ -262,7 +270,7 @@ def test_decides_from_the_view_alone(seed, alg_name, R):
     before = extract_view(inst, v, alg.horizon)
     after = extract_view(mutated, v, alg.horizon)
     assert before == after
-    assert run_local(inst, alg).values[v] == run_local(mutated, alg).values[v]
+    assert run_local(inst, alg)[v] == run_local(mutated, alg)[v]
 
 
 def _counting_solver(monkeypatch):
@@ -280,7 +288,7 @@ def _counting_solver(monkeypatch):
 
 @pytest.fixture(scope="module")
 def torus11():
-    return gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=11))
+    return gen_torus(dim=2, side=8, perturb=True, seed=11)
 
 
 def test_run_local_solves_each_distinct_ball_lp_once(torus11, monkeypatch):
@@ -322,13 +330,13 @@ def _bits(values):
 
 
 @pytest.mark.parametrize("inst, R", [
-    (gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=11)), 2),
-    (gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=2)), 1),
-    (gen_torus(TorusParams(dim=2, side=8)), 2),
-    (gen_torus(TorusParams(dim=1, side=12, perturb=True, seed=5)), 2),
+    (gen_torus(dim=2, side=8, perturb=True, seed=11), 2),
+    (gen_torus(dim=2, side=8, perturb=True, seed=2), 1),
+    (gen_torus(dim=2, side=8), 2),
+    (gen_torus(dim=1, side=12, perturb=True, seed=5), 2),
 ], ids=["torus8x8-seed11-R2", "torus8x8-seed2-R1", "torus8x8-uniform-R2", "ring12-seed5-R2"])
 def test_run_local_matches_the_reference_bit_for_bit(inst, R):
-    got = run_local(inst, LocalAveraging(R)).values
+    got = run_local(inst, LocalAveraging(R))
     assert _bits(got) == _bits(local_avg_reference.local_averaging(inst, R))
 
 
@@ -336,12 +344,12 @@ def test_run_local_matches_the_reference_bit_for_bit(inst, R):
 @given(st.integers(1, 14), st.integers(1, 4), st.integers(0, 10**6), st.integers(1, 2))
 def test_run_local_matches_the_reference_on_random_instances(n_agents, max_support, seed, R):
     inst = gen_random(n_agents, max_support, seed=seed)
-    got = run_local(inst, LocalAveraging(R)).values
+    got = run_local(inst, LocalAveraging(R))
     assert _bits(got) == _bits(local_avg_reference.local_averaging(inst, R))
 
 
 def _ring(scale=1.0):
-    inst = gen_torus(TorusParams(dim=1, side=10, perturb=True, seed=3))
+    inst = gen_torus(dim=1, side=10, perturb=True, seed=3)
     row = dict(inst.resources[0])
     row[min(row)] *= scale
     return Instance(inst.agents, {**inst.resources, 0: row}, inst.beneficiaries)
@@ -350,7 +358,7 @@ def _ring(scale=1.0):
 def _fresh(inst, monkeypatch):
     with monkeypatch.context() as m:
         seen = _counting_solver(m)
-        values = run_local(inst, LocalAveraging(1)).values
+        values = run_local(inst, LocalAveraging(1))
     return values, len(seen)
 
 
@@ -363,7 +371,7 @@ def test_no_memo_survives_a_run(monkeypatch):
     b_fresh, b_solves = _fresh(b, monkeypatch)
     run_local(a, LocalAveraging(1))
     assert _fresh(b, monkeypatch) == (b_fresh, b_solves)
-    assert run_local(a, LocalAveraging(1)).values != b_fresh
+    assert run_local(a, LocalAveraging(1)) != b_fresh
 
 
 def test_no_memo_survives_a_run_that_raised(monkeypatch):
@@ -401,13 +409,13 @@ def test_editing_a_members_ball_optimum_does_not_reach_other_agents():
     # with writable optima the first agent would zero what every later
     # agent averages
     inst = _ring()
-    assert run_local(inst, _Clobbering(1)).values == run_local(inst, LocalAveraging(1)).values
+    assert run_local(inst, _Clobbering(1)) == run_local(inst, LocalAveraging(1))
 
 
 def test_failing_ball_lp_names_agent_ball_and_radius(monkeypatch):
     # the solver is made to fail on the LP of one ball; the error must name
     # that ball's centre, its radius and its size
-    inst = gen_torus(TorusParams(dim=2, side=8, perturb=True, seed=2))
+    inst = gen_torus(dim=2, side=8, perturb=True, seed=2)
     doomed = tuple(sorted(oracles.ball(inst, 32, 2)))
     real = lp.solve_maxmin
 

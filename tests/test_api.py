@@ -3,6 +3,13 @@ import re
 from pathlib import Path
 
 import maxminlp
+from cli_child import cli
+from maxminlp.algorithms import make_algorithm, run_local
+from maxminlp.evaluation import evaluate, objective
+from maxminlp.generators import gen_torus
+from maxminlp.lowerbound import parity_solution
+from maxminlp.lp import solve_maxmin
+from maxminlp.model import Instance, assignment_from_dict, load_instance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -54,3 +61,25 @@ def test_every_top_level_definition_in_src_has_a_caller_in_src():
             if not any(node.name in _references(other, node) for other in trees.values()):
                 unused.append(f"{name}:{node.name}")
     assert unused == []
+
+
+def test_an_assignment_is_a_plain_dict_and_a_torus_its_four_arguments(tmp_path):
+    inst = gen_torus(2, 8, True, 11)
+    assert inst == gen_torus(dim=2, side=8, perturb=True, seed=11)
+    path = tmp_path / "torus.json"
+    proc = cli("gen-torus", "--dim", "2", "--side", "8", "--perturb", "--seed", "11",
+               "-o", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert load_instance(path) == inst
+
+    pair = Instance((0, 1), {0: {0: 1.0, 1: 1.0}}, {1: {0: 1.0}})
+    results = [
+        run_local(inst, make_algorithm("safe")),
+        solve_maxmin(inst)[0],
+        assignment_from_dict({"values": {"0": 0.5, "1": 0.25}}),
+        parity_solution(pair, 0),
+    ]
+    assert [type(x) for x in results] == [dict] * 4
+    safe, optimum = results[:2]
+    assert evaluate(inst, safe).omega == objective(inst, safe) > 0
+    assert objective(inst, optimum) == evaluate(inst, optimum).omega > 0

@@ -161,6 +161,22 @@ def test_run_on_an_instance_without_beneficiaries(tmp_path, algorithm, values):
     assert json.loads(out.read_text())["values"] == values
 
 
+def test_solve_refuses_an_instance_without_beneficiaries(tmp_path):
+    path = tmp_path / "empty_k.json"
+    path.write_text(json.dumps({
+        "agents": [0, 1],
+        "resources": [{"id": 0, "coeffs": {"0": 1, "1": 1}}],
+        "beneficiaries": [],
+    }))
+    out = tmp_path / "out.json"
+    proc = cli("solve", str(path), "-o", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: empty K: the max-min objective needs at least one beneficiary\n"
+    )
+    assert not out.exists()
+
+
 def test_run_local_avg_requires_radius(tmp_path):
     path = gen_torus(tmp_path)
     proc = cli("run", str(path), "--algorithm", "local-avg")

@@ -17,10 +17,9 @@ from maxminlp.evaluation import (
     objective,
     write_reports_csv,
 )
-from maxminlp.generators import TorusParams, gen_random, gen_torus
+from maxminlp.generators import gen_random, gen_torus
 from maxminlp.hypergraph import ball, growth_factor, incidence
 from maxminlp.model import (
-    Assignment,
     Instance,
     assignment_to_dict,
     dump_json,
@@ -34,24 +33,24 @@ def pair():
 
 
 def test_feasibility_reports_worst_overshoot():
-    ok, worst = feasibility(pair(), Assignment({0: 0.5, 1: 0.25}))
+    ok, worst = feasibility(pair(), {0: 0.5, 1: 0.25})
     assert ok
     assert worst == pytest.approx(0.0)
-    ok, worst = feasibility(pair(), Assignment({0: 1.0, 1: 0.25}))
+    ok, worst = feasibility(pair(), {0: 1.0, 1: 0.25})
     assert not ok
     assert worst == pytest.approx(0.5)
 
 
 def test_feasibility_rejects_negative_activity():
-    ok, _ = feasibility(pair(), Assignment({0: -0.1, 1: 0.0}))
+    ok, _ = feasibility(pair(), {0: -0.1, 1: 0.0})
     assert not ok
     # within tolerance it slides
-    ok, _ = feasibility(pair(), Assignment({0: -1e-12, 1: 0.0}))
+    ok, _ = feasibility(pair(), {0: -1e-12, 1: 0.0})
     assert ok
 
 
 def test_evaluate_without_beneficiaries_leaves_the_objective_undefined():
-    report = evaluate(Instance((0,), {0: {0: 1.0}}, {}), Assignment({0: 0.5}))
+    report = evaluate(Instance((0,), {0: {0: 1.0}}, {}), {0: 0.5})
     assert report.omega is None
     assert report.ratio is None
     assert "no beneficiaries: objective undefined" in report.notes
@@ -59,16 +58,16 @@ def test_evaluate_without_beneficiaries_leaves_the_objective_undefined():
 
 def test_domain_mismatch_raises():
     with pytest.raises(ValueError, match="domain"):
-        feasibility(pair(), Assignment({0: 0.0}))
+        feasibility(pair(), {0: 0.0})
     with pytest.raises(ValueError, match="domain"):
-        benefits(pair(), Assignment({0: 0.0, 1: 0.0, 2: 0.0}))
+        benefits(pair(), {0: 0.0, 1: 0.0, 2: 0.0})
     with pytest.raises(ValueError, match="domain"):
-        feasibility(pair(), Assignment({0: 0.0, 2: 0.0}))
+        feasibility(pair(), {0: 0.0, 2: 0.0})
 
 
 def test_domain_check_builds_no_agent_keyed_scratch():
-    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
-    x = Assignment({v: 0.1 for v in inst.agents})
+    inst = gen_torus(dim=2, side=60, perturb=True, seed=0)
+    x = {v: 0.1 for v in inst.agents}
     validate(inst)  # builds and caches the incidence map, as loading does
     tracemalloc.start()
     try:
@@ -83,12 +82,12 @@ def test_domain_check_builds_no_agent_keyed_scratch():
     assert ok
     assert peak < one_set, (peak, one_set)
     # the check keeps set semantics: the order of the keys does not matter
-    assert feasibility(inst, Assignment(dict(reversed(x.values.items()))))[0]
+    assert feasibility(inst, dict(reversed(x.items())))[0]
 
 
 def test_objective_keeps_no_benefit_per_row():
-    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
-    x = Assignment({v: 0.1 for v in inst.agents})
+    inst = gen_torus(dim=2, side=60, perturb=True, seed=0)
+    x = {v: 0.1 for v in inst.agents}
     validate(inst)
     tracemalloc.start()
     try:
@@ -104,11 +103,11 @@ def test_objective_keeps_no_benefit_per_row():
 
 
 def test_benefits_and_objective_exact():
-    got = benefits(pair(), Assignment({0: 0.5, 1: 0.25}))
+    got = benefits(pair(), {0: 0.5, 1: 0.25})
     assert got == {1: 3.0 * 0.5 + 0.25}
-    assert objective(pair(), Assignment({0: 0.5, 1: 0.25})) == got[1]
+    assert objective(pair(), {0: 0.5, 1: 0.25}) == got[1]
     with pytest.raises(ValueError, match="empty K"):
-        objective(Instance((0,), {0: {0: 1.0}}, {}), Assignment({0: 0.0}))
+        objective(Instance((0,), {0: {0: 1.0}}, {}), {0: 0.0})
 
 
 def test_exact_sums_are_exact_over_the_floats_held():
@@ -126,16 +125,16 @@ def _no_oracle(*_):
 def test_ratio_branches():
     inst = pair()
     # capacity x0 + 2 x1 <= 1 allows x = (1, 0) with benefit 3, the optimum
-    report = evaluate(inst, Assignment({0: 0.5, 1: 0.0}))
+    report = evaluate(inst, {0: 0.5, 1: 0.0})
     assert report.omega_star == pytest.approx(3.0)
     assert report.ratio == pytest.approx(2.0)
     assert report.notes == ()
-    report = evaluate(inst, Assignment({0: 0.0, 1: 0.0}))
+    report = evaluate(inst, {0: 0.0, 1: 0.0})
     assert report.ratio == math.inf
     assert report.notes == ("achieved objective is zero: ratio unbounded",)
     allzero = Instance((0,), {0: {0: 1.0}}, {1: {0: 1e-18}})
     # both sides vanish at double precision: treated as attained
-    report = evaluate(allzero, Assignment({0: 0.0}))
+    report = evaluate(allzero, {0: 0.0})
     assert report.omega == 0.0
     assert report.omega_star == 0.0
     assert report.ratio == 1.0
@@ -145,15 +144,15 @@ def test_ratio_branches():
 def test_ratio_refuses_oversized_instances(monkeypatch):
     monkeypatch.setattr(lp, "solve_maxmin", _no_oracle)
     inst = gen_random(12, 3, seed=0)
-    report = evaluate(inst, Assignment({v: 0.0 for v in inst.agents}), oracle_cap=5)
+    report = evaluate(inst, {v: 0.0 for v in inst.agents}, oracle_cap=5)
     assert report.omega_star is None
     assert report.ratio is None
     assert report.notes == ("oracle unavailable: 12 agents exceed the cap of 5",)
 
 
 def test_evaluate_full_report():
-    inst = gen_torus(TorusParams(dim=1, side=6))
-    x = Assignment({v: 0.25 for v in inst.agents})
+    inst = gen_torus(dim=1, side=6)
+    x = {v: 0.25 for v in inst.agents}
     report = evaluate(inst, x, R=1)
     assert report.feasible
     assert report.omega == pytest.approx(0.5)
@@ -164,8 +163,8 @@ def test_evaluate_full_report():
 
 
 def test_evaluate_respects_oracle_cap():
-    inst = gen_torus(TorusParams(dim=2, side=4))
-    x = Assignment({v: 0.0 for v in inst.agents})
+    inst = gen_torus(dim=2, side=4)
+    x = {v: 0.0 for v in inst.agents}
     report = evaluate(inst, x, oracle_cap=3)
     assert report.omega_star is None
     assert report.ratio is None
@@ -174,7 +173,7 @@ def test_evaluate_respects_oracle_cap():
 
 def test_evaluate_serialises_unbounded_ratio():
     inst = pair()
-    report = evaluate(inst, Assignment({0: 0.0, 1: 0.0}))
+    report = evaluate(inst, {0: 0.0, 1: 0.0})
     assert report.ratio == math.inf
     assert report.to_dict()["ratio"] == "unbounded"
     assert report.notes == ("achieved objective is zero: ratio unbounded",)
@@ -182,7 +181,7 @@ def test_evaluate_serialises_unbounded_ratio():
 
 def test_evaluate_names_a_negative_objective():
     # the note used to call omega = -0.4 zero
-    report = evaluate(pair(), Assignment({0: -0.2, 1: 0.2}))
+    report = evaluate(pair(), {0: -0.2, 1: 0.2})
     assert report.omega == pytest.approx(-0.4)
     assert report.ratio == math.inf
     assert report.notes == (
@@ -194,18 +193,18 @@ def test_evaluate_names_a_negative_objective():
 def test_evaluate_names_the_lowest_negative_activity():
     # max_violation covers rows only: every row has slack here, so the
     # figure alone never says why the assignment is infeasible
-    torus = gen_torus(TorusParams(dim=1, side=4))
+    torus = gen_torus(dim=1, side=4)
     x = dict.fromkeys(torus.agents, 0.0)
     first, second, third = torus.agents[:3]
     x[first], x[second], x[third] = -0.1, -0.4, -0.4
-    report = evaluate(torus, Assignment(x), oracle_cap=0)
+    report = evaluate(torus, x, oracle_cap=0)
     assert not report.feasible
     assert report.max_violation < 0
     assert report.notes[0] == f"negative activity: agent {second} has -0.4"
     # within the feasibility tolerance there is nothing to name
     x = dict.fromkeys(torus.agents, 0.0)
     x[first] = -1e-12
-    report = evaluate(torus, Assignment(x), oracle_cap=0)
+    report = evaluate(torus, x, oracle_cap=0)
     assert report.feasible
     assert not any(note.startswith("negative activity") for note in report.notes)
 
@@ -214,14 +213,14 @@ def test_evaluate_rejects_nonpositive_radius(monkeypatch):
     # refused before any work: the exact oracle never starts
     monkeypatch.setattr(lp, "solve_maxmin", _no_oracle)
     with pytest.raises(ValueError, match="R >= 1"):
-        evaluate(pair(), Assignment({0: 0.0, 1: 0.0}), R=0)
+        evaluate(pair(), {0: 0.0, 1: 0.0}, R=0)
 
 
 def test_evaluate_rejects_a_negative_oracle_cap(monkeypatch):
     # refused before any work: the exact oracle never starts
     monkeypatch.setattr(lp, "solve_maxmin", _no_oracle)
     with pytest.raises(ValueError, match="oracle cap must be at least 0"):
-        evaluate(pair(), Assignment({0: 0.0, 1: 0.0}), oracle_cap=-3)
+        evaluate(pair(), {0: 0.0, 1: 0.0}, oracle_cap=-3)
 
 
 def test_csv_report_golden(tmp_path):
@@ -252,7 +251,7 @@ def test_acyclicity_classification():
     # two rows over the same pair close a cycle in the incidence structure
     looped = Instance((0, 1), {0: {0: 1.0, 1: 1.0}}, {1: {0: 1.0, 1: 1.0}})
     assert not oracles.incidence_is_forest(looped)
-    assert not oracles.incidence_is_forest(gen_torus(TorusParams(dim=1, side=4)))
+    assert not oracles.incidence_is_forest(gen_torus(dim=1, side=4))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -298,7 +297,7 @@ def test_the_certificate_walks_from_each_agent_once(tmp_path, monkeypatch):
     # gamma(R-1) and gamma(R) come from one walk to radius R + 1 per agent
     inst = gen_random(30, 3, seed=4)
     save_instance(inst, tmp_path / "inst.json")
-    x = Assignment({v: 0.1 for v in inst.agents})
+    x = {v: 0.1 for v in inst.agents}
     dump_json(assignment_to_dict(x), tmp_path / "x.json")
     starts = []
     real = hypergraph.distances

@@ -3,14 +3,14 @@ import math
 import pytest
 
 import oracles
-from maxminlp.generators import TorusParams, gen_random, gen_torus
+from maxminlp.generators import gen_random, gen_torus
 from maxminlp.lp import solve_maxmin
 from maxminlp.model import validate
 
 
 @pytest.mark.parametrize("dim, side", [(1, 3), (1, 5), (2, 3), (2, 4), (3, 3)])
 def test_torus_shape_and_bounds(dim, side):
-    inst = gen_torus(TorusParams(dim=dim, side=side))
+    inst = gen_torus(dim=dim, side=side)
     cells = side**dim
     assert len(inst.agents) == cells
     assert len(inst.resources) == cells
@@ -20,13 +20,13 @@ def test_torus_shape_and_bounds(dim, side):
 
 
 def test_torus_unperturbed_is_all_ones():
-    inst = gen_torus(TorusParams(dim=2, side=4))
+    inst = gen_torus(dim=2, side=4)
     for row in list(inst.resources.values()) + list(inst.beneficiaries.values()):
         assert set(row.values()) == {1.0}
 
 
 def test_torus_rows_pair_opposite_neighbours():
-    inst = gen_torus(TorusParams(dim=1, side=5))
+    inst = gen_torus(dim=1, side=5)
     # capacity row of cell z spans {z, z+1}, benefit row spans {z, z-1}
     assert inst.resources[2] == {2: 1.0, 3: 1.0}
     assert inst.resources[4] == {0: 1.0, 4: 1.0}
@@ -35,9 +35,9 @@ def test_torus_rows_pair_opposite_neighbours():
 
 
 def test_torus_perturbation_is_seeded_and_ranged():
-    a = gen_torus(TorusParams(dim=2, side=4, perturb=True, seed=9))
-    b = gen_torus(TorusParams(dim=2, side=4, perturb=True, seed=9))
-    c = gen_torus(TorusParams(dim=2, side=4, perturb=True, seed=10))
+    a = gen_torus(dim=2, side=4, perturb=True, seed=9)
+    b = gen_torus(dim=2, side=4, perturb=True, seed=9)
+    c = gen_torus(dim=2, side=4, perturb=True, seed=10)
     assert a == b
     assert a != c
     coeffs = [x for row in a.resources.values() for x in row.values()]
@@ -48,14 +48,14 @@ def test_torus_perturbation_is_seeded_and_ranged():
 
 def test_torus_parameter_validation():
     with pytest.raises(ValueError):
-        gen_torus(TorusParams(dim=0, side=4))
+        gen_torus(dim=0, side=4)
     with pytest.raises(ValueError):
-        gen_torus(TorusParams(dim=2, side=2))
+        gen_torus(dim=2, side=2)
 
 
 @pytest.mark.parametrize("dim, side", [(1, 5), (2, 3)])
 def test_torus_unperturbed_optimum_is_one(dim, side):
-    _, omega = solve_maxmin(gen_torus(TorusParams(dim=dim, side=side)))
+    _, omega = solve_maxmin(gen_torus(dim=dim, side=side))
     assert omega == pytest.approx(1.0, abs=1e-9)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from maxminlp.generators import TorusParams, gen_random, gen_torus
+from maxminlp.generators import gen_random, gen_torus
 from maxminlp.hypergraph import (
     ball,
     distances,
@@ -110,12 +110,12 @@ def test_growth_factors_from_one_walk_match_each_factor(seed):
 
 def test_growth_factor_exact_values_on_small_tori():
     # 3x3 torus: each cell sees 6 others at one hop, everything at two
-    t = gen_torus(TorusParams(dim=2, side=3))
+    t = gen_torus(dim=2, side=3)
     assert growth_factor(t, 0) == Fraction(7, 1)
     assert growth_factor(t, 1) == Fraction(9, 7)
     assert growth_factor(t, 2) == Fraction(1)
     # ring of 6: balls grow by two cells per hop until they wrap
-    ring = gen_torus(TorusParams(dim=1, side=6))
+    ring = gen_torus(dim=1, side=6)
     assert growth_factor(ring, 0) == Fraction(3, 1)
     assert growth_factor(ring, 1) == Fraction(5, 3)
     assert growth_factor(ring, 2) == Fraction(6, 5)
@@ -124,7 +124,7 @@ def test_growth_factor_exact_values_on_small_tori():
 def test_growth_factor_far_past_the_diameter_needs_memory_of_the_walk_only():
     # the 8x8 torus's balls stop growing at radius 8; sizing the ring
     # counts by the radius would allocate a million entries per agent
-    t = gen_torus(TorusParams(dim=2, side=8))
+    t = gen_torus(dim=2, side=8)
     tracemalloc.start()
     try:
         assert growth_factor(t, 10**6) == 1

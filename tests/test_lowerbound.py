@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from maxminlp.lowerbound import (
     select_hard_subinstance,
     theoretical_ratio_floor,
 )
-from maxminlp.model import Assignment, Instance, restrict, validate
+from maxminlp.model import Instance, restrict, validate
 
 
 def test_hypertree_levels_alternate_arity():
@@ -426,7 +427,7 @@ def test_adversarial_argument_validation():
 
 def test_selection_breaks_ties_toward_the_lowest_tree():
     inst, meta = built()
-    zero = Assignment({v: 0.0 for v in inst.agents})
+    zero = {v: 0.0 for v in inst.agents}
     sub, p, delta = select_hard_subinstance(inst, meta, zero)
     assert p == 0
     assert set(delta) == set(meta.template.vertices)
@@ -441,7 +442,7 @@ def test_selection_follows_the_advantaged_tree():
     x = {v: 0.0 for v in inst.agents}
     lucky_leaf = meta.tree_levels[7][-1][0]
     x[lucky_leaf] = 0.5
-    sub, p, delta = select_hard_subinstance(inst, meta, Assignment(x))
+    sub, p, delta = select_hard_subinstance(inst, meta, x)
     assert p == 7
     assert delta[7] == 0.5
     # the partner's tree is the mirror loser
@@ -459,7 +460,7 @@ def test_selection_rejects_uncancelled_deltas():
     x[anchor] = 1.0
     broken = meta._replace(leaf_pair={v: anchor for v in meta.leaf_pair})
     with pytest.raises(ArithmeticError, match="cancel"):
-        select_hard_subinstance(inst, broken, Assignment(x))
+        select_hard_subinstance(inst, broken, x)
 
 
 def test_selection_refuses_a_pairing_that_is_no_involution():
@@ -468,7 +469,7 @@ def test_selection_refuses_a_pairing_that_is_no_involution():
     inst, meta = built()
     anchor = meta.tree_levels[0][-1][0]
     broken = meta._replace(leaf_pair={v: anchor for v in meta.leaf_pair})
-    zero = Assignment({v: 0.0 for v in inst.agents})
+    zero = {v: 0.0 for v in inst.agents}
     with pytest.raises(ArithmeticError, match="involution.*cancel"):
         select_hard_subinstance(inst, broken, zero)
 
@@ -482,7 +483,7 @@ def test_selection_refuses_a_pairing_that_is_no_involution():
 def test_selection_refuses_a_pairing_off_the_leaves(pairing):
     inst, meta = built()
     broken = meta._replace(leaf_pair=pairing(meta.leaf_pair))
-    zero = Assignment({v: 0.0 for v in inst.agents})
+    zero = {v: 0.0 for v in inst.agents}
     with pytest.raises(ArithmeticError, match="involution"):
         select_hard_subinstance(inst, broken, zero)
 
@@ -490,15 +491,25 @@ def test_selection_refuses_a_pairing_off_the_leaves(pairing):
 def test_parity_solution_saturates_every_row():
     inst, meta = built()
     sub, p, _ = select_hard_subinstance(
-        inst, meta, Assignment({v: 0.0 for v in inst.agents})
+        inst, meta, {v: 0.0 for v in inst.agents}
     )
     parity = parity_solution(sub, meta.tree_levels[p][0][0])
-    assert set(parity.values.values()) <= {0.0, 1.0}
+    assert set(parity.values()) <= {0.0, 1.0}
     for row in list(sub.resources.values()) + list(sub.beneficiaries.values()):
-        assert sum(c * parity.values[v] for v, c in row.items()) == 1.0
+        assert sum(c * parity[v] for v, c in row.items()) == 1.0
     ok, worst = feasibility(sub, parity)
     assert ok
     assert objective(sub, parity) == 1.0
+
+
+def test_parity_solution_refuses_agents_the_root_cannot_reach():
+    two_pairs = Instance(
+        (0, 1, 2, 3), {0: {0: 1.0, 1: 1.0}, 1: {2: 1.0, 3: 1.0}}, {2: {0: 1.0}, 3: {2: 1.0}}
+    )
+    with pytest.raises(
+        ArithmeticError, match=re.escape("disconnected from the root: [2, 3]")
+    ):
+        parity_solution(two_pairs, 0)
 
 
 def _walks(monkeypatch, module):
@@ -522,7 +533,7 @@ def test_every_graph_walk_of_the_attack_goes_through_distances(monkeypatch):
     # the template's girth: one walk from every template vertex
     assert in_hypergraph == []
     assert in_lowerbound == list(meta.template.vertices)
-    zero = Assignment({v: 0.0 for v in inst.agents})
+    zero = {v: 0.0 for v in inst.agents}
     sub, p, _ = select_hard_subinstance(inst, meta, zero)
     # the carve: one ball around each leaf of the selected tree
     assert in_hypergraph == meta.tree_levels[p][-1]
@@ -701,13 +712,13 @@ def test_certified_ratio_is_the_largest_float_at_most_the_proven_ratio(d, D, mon
     [(_, (sub, p, _))] = seen["select_hard_subinstance"]
     [x_sub] = [x for (instance, _), x in seen["run_local"] if instance is sub]
     parity = parity_solution(sub, meta.tree_levels[p][0][0])
-    assert max(_exact_sums(sub.resources, parity.values)) == 1
-    proven = min(_exact_sums(sub.beneficiaries, parity.values)) / min(
-        _exact_sums(sub.beneficiaries, x_sub.values)
+    assert max(_exact_sums(sub.resources, parity)) == 1
+    proven = min(_exact_sums(sub.beneficiaries, parity)) / min(
+        _exact_sums(sub.beneficiaries, x_sub)
     )
     ratio = report["certified_ratio"]
     assert Fraction(ratio) <= proven < Fraction(math.nextafter(ratio, math.inf))
-    rows = _exact_sums(sub.resources, parity.values) + _exact_sums(sub.beneficiaries, parity.values)
+    rows = _exact_sums(sub.resources, parity) + _exact_sums(sub.beneficiaries, parity)
     assert report["parity"]["rows_exact"] is all(total == 1 for total in rows)
     assert report["level_inequalities_ok"] is True
 

@@ -10,10 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from maxminlp import algorithms
-from maxminlp.generators import TorusParams, gen_random, gen_torus
+from maxminlp.generators import gen_random, gen_torus
 from maxminlp.hypergraph import ball, incidence
 from maxminlp.model import (
-    Assignment,
     Instance,
     InvalidInstanceError,
     assignment_from_dict,
@@ -120,6 +119,23 @@ def test_shuffled_rows_build_the_instance_canonical_rows_build(n_agents, max_sup
         assert list(mine) == list(theirs)
         assert [list(row.items()) for row in mine.values()] == [
             list(row.items()) for row in theirs.values()
+        ]
+
+
+def test_an_instance_equals_no_other_type():
+    inst = chain()
+    assert inst.__eq__(5) is NotImplemented
+    assert inst != 5
+
+
+def test_repr_rebuilds_an_equal_instance_in_the_same_order():
+    inst = gen_random(8, 3, seed=2)
+    back = eval(repr(inst), {"Instance": Instance})
+    assert back == inst
+    for mine, theirs in ((back.resources, inst.resources),
+                         (back.beneficiaries, inst.beneficiaries)):
+        assert [(i, list(row.items())) for i, row in mine.items()] == [
+            (i, list(row.items())) for i, row in theirs.items()
         ]
 
 
@@ -243,7 +259,7 @@ def _traced(call):
 
 
 def _torus_and_one_agent_set():
-    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
+    inst = gen_torus(dim=2, side=60, perturb=True, seed=0)
     _, one_set, _ = _traced(lambda: set(inst.agents))
     return inst, one_set
 
@@ -339,7 +355,7 @@ def test_save_instance_writes_what_json_dumps_writes(agents, resources, benefici
 
 
 def test_save_instance_never_holds_the_file_text(tmp_path):
-    inst = gen_torus(TorusParams(dim=2, side=60, perturb=True, seed=0))
+    inst = gen_torus(dim=2, side=60, perturb=True, seed=0)
     path = tmp_path / "torus.json"
     _, kept, peak = _traced(lambda: save_instance(inst, path))
     size = path.stat().st_size
@@ -403,21 +419,21 @@ def test_instance_dict_shape():
 
 
 def test_assignment_round_trip(tmp_path):
-    a = Assignment({0: 0.125, 3: 1.5})
+    a = {0: 0.125, 3: 1.5}
     payload = assignment_to_dict(a)
     assert payload == {"values": {"0": 0.125, "3": 1.5}}
-    assert assignment_from_dict(payload).values == a.values
+    assert assignment_from_dict(payload) == a
     path = tmp_path / "a.json"
     dump_json(payload, path)
-    assert assignment_from_dict(json.loads(path.read_text())).values == a.values
+    assert assignment_from_dict(json.loads(path.read_text())) == a
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.integers(0, 10**9), st.floats(allow_nan=False, allow_infinity=False)))
 def test_assignments_round_trip_bit_for_bit(values):
-    payload = assignment_to_dict(Assignment(values))
+    payload = assignment_to_dict(values)
     for back in (payload, json.loads(json.dumps(payload))):
-        got = assignment_from_dict(back).values
+        got = assignment_from_dict(back)
         # hex, so that -0.0 and 0.0 count as different
         assert {v: x.hex() for v, x in got.items()} == {v: x.hex() for v, x in values.items()}
 
@@ -453,7 +469,7 @@ def test_assignment_from_dict_rejects_non_finite_values(value, refusal):
 def test_assignment_from_dict_keeps_negative_values():
     # a negative activity is a defect of the assignment that feasibility
     # reports, not a malformed file
-    assert assignment_from_dict({"values": {"0": -0.5}}).values == {0: -0.5}
+    assert assignment_from_dict({"values": {"0": -0.5}}) == {0: -0.5}
 
 
 def test_load_instance_refuses_an_instance_that_fails_validation(tmp_path):
@@ -501,7 +517,7 @@ def test_agent_keys_are_ascii_digits_with_an_optional_minus(key):
 
 
 def test_a_negative_agent_key_is_read_for_validation_to_refuse():
-    assert assignment_from_dict({"values": {"-1": 0.5}}).values == {-1: 0.5}
+    assert assignment_from_dict({"values": {"-1": 0.5}}) == {-1: 0.5}
     instance = instance_from_dict(two_agents(resources=[{"id": 0, "coeffs": {"-1": 1.0}}]))
     assert "resource 0: unknown agent -1" in validate(instance)
 
