@@ -133,26 +133,26 @@ def _cmd_adversary(args):
 
 
 def _cmd_eval(args):
-    from .evaluation import evaluate, write_reports_csv
+    from .evaluation import evaluate, write_report_csv
     from .model import assignment_from_dict, load_instance, load_json
 
     instance = load_instance(args.instance)
     payload = load_json(args.assignment)
     assignment = assignment_from_dict(payload)
     report = evaluate(instance, assignment, R=args.radius, oracle_cap=args.oracle_cap)
-    out = report.to_dict()
-    print(f"feasible = {report.feasible} (max violation {report.max_violation:.3g})")
-    print("omega = " + ("undefined" if report.omega is None else f"{report.omega:.12g}"))
-    if report.omega_star is not None:
-        print(f"omega* = {report.omega_star:.12g}")
-        shown = out["ratio"]
-        print(f"ratio = {shown if isinstance(shown, str) else format(shown, '.12g')}")
-    for note in report.notes:
+    print(f"feasible = {report['feasible']} (max violation {report['max_violation']:.3g})")
+    omega = report["omega"]
+    print("omega = " + ("undefined" if omega is None else f"{omega:.12g}"))
+    if report["omega_star"] is not None:
+        print(f"omega* = {report['omega_star']:.12g}")
+        ratio = report["ratio"]
+        print(f"ratio = {ratio if isinstance(ratio, str) else format(ratio, '.12g')}")
+    for note in report["notes"]:
         print(f"note: {note}")
     if args.csv:
         label = os.path.basename(args.instance)
-        write_reports_csv(args.csv, [(label, payload.get("algorithm", ""), report)])
-    return out
+        write_report_csv(args.csv, label, payload.get("algorithm", ""), report)
+    return report
 
 
 def _cmd_growth(args):

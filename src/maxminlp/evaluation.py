@@ -4,7 +4,6 @@ An assignment is a plain dict from agent id to activity.
 """
 
 import math
-from typing import NamedTuple
 
 DEFAULT_ORACLE_CAP = 200
 FEASIBILITY_TOL = 1e-9
@@ -63,38 +62,17 @@ def exact_sums(rows, x):
     return [sum(Fraction(c) * Fraction(x[v]) for v, c in row.items()) for row in rows.values()]
 
 
-class EvaluationReport(NamedTuple):
-    feasible: bool
-    max_violation: float
-    omega: float | None
-    omega_star: float | None
-    ratio: float | None
-    certificate: float | None
-    benefits: dict
-    notes: tuple = ()
-
-    def to_dict(self):
-        ratio = self.ratio
-        if ratio is not None and math.isinf(ratio):
-            ratio = "unbounded"
-        return {
-            "feasible": self.feasible,
-            "max_violation": self.max_violation,
-            "omega": self.omega,
-            "omega_star": self.omega_star,
-            "ratio": ratio,
-            "certificate": self.certificate,
-            "benefits": {str(k): v for k, v in sorted(self.benefits.items())},
-            "notes": list(self.notes),
-        }
-
-
 def evaluate(instance, assignment, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
-    """One-stop report for an instance and an assignment, a dict from agent
-    id to activity over exactly the instance's agents.
+    """The report that ``eval`` writes, minus its ``config``, as a JSON-ready
+    dict, for an instance and an assignment, a dict from agent id to
+    activity over exactly the instance's agents.
 
-    Passing the averaging radius R adds the growth certificate
-    gamma(R-1) * gamma(R) that the averaged-local-solutions guarantee quotes.
+    Its keys are ``feasible``, ``max_violation``, ``omega``, ``omega_star``,
+    ``ratio`` (``"unbounded"`` when omega* is positive and the achieved
+    objective is not), ``certificate``, ``benefits`` (keyed by ``str(id)``)
+    and ``notes`` (a list).  Passing the averaging radius R adds the growth
+    certificate gamma(R-1) * gamma(R) that the averaged-local-solutions
+    guarantee quotes.
     """
     if R is not None and R < 1:
         raise ValueError("the certificate needs R >= 1")
@@ -123,7 +101,7 @@ def evaluate(instance, assignment, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
         if omega > 0.0:
             ratio = omega_star / omega
         elif omega_star > 0.0:
-            ratio = math.inf
+            ratio = "unbounded"
             sign = "zero" if omega == 0.0 else "negative"
             notes.append(f"achieved objective is {sign}: ratio unbounded")
         else:
@@ -137,16 +115,16 @@ def evaluate(instance, assignment, R=None, oracle_cap=DEFAULT_ORACLE_CAP):
         below, at = growth_factors(instance, R - 1, R)
         certificate = float(below * at)
 
-    return EvaluationReport(
-        feasible=feasible,
-        max_violation=worst,
-        omega=omega,
-        omega_star=omega_star,
-        ratio=ratio,
-        certificate=certificate,
-        benefits=got,
-        notes=tuple(notes),
-    )
+    return {
+        "feasible": feasible,
+        "max_violation": worst,
+        "omega": omega,
+        "omega_star": omega_star,
+        "ratio": ratio,
+        "certificate": certificate,
+        "benefits": {str(k): b for k, b in got.items()},
+        "notes": notes,
+    }
 
 
 CSV_FIELDS = (
@@ -161,18 +139,18 @@ CSV_FIELDS = (
 )
 
 
-def write_reports_csv(path, entries):
-    """One CSV row per (instance label, algorithm name, report).
+def write_report_csv(path, label, algorithm, report):
+    """A header and one row: the instance label, the algorithm name and the
+    CSV_FIELDS of ``report``, a dict as :func:`evaluate` returns it.
 
-    Deterministic: fixed header, rows in the order given, canonical float
-    formatting via str().
+    Deterministic: fixed header, canonical float formatting via str(), and
+    an empty cell for None.  A field the report lacks raises ``KeyError``.
     """
     import csv
     from pathlib import Path
 
+    flat = {"instance": label, "algorithm": algorithm, **report}
     with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        for label, algorithm, report in entries:
-            flat = {"instance": label, "algorithm": algorithm, **report.to_dict()}
-            writer.writerow({field: flat[field] for field in CSV_FIELDS})
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELDS)
+        writer.writerow([flat[field] for field in CSV_FIELDS])

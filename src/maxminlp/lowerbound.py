@@ -40,11 +40,22 @@ class HorizonTooLargeError(ValueError):
 # Hypertrees.
 
 
-def hypertree_node_count(d, D, height):
+def hypertree_node_count(d, D, height, cap=math.inf):
+    """Nodes in a tree of ``height`` levels below its root.
+
+    A count above ``cap`` raises :class:`SizeCapError` at the level that
+    takes it there, so a huge tree is refused without being counted in
+    full; when levels are left uncounted, the message says "at least".
+    """
     total, width = 1, 1
     for level in range(height):
         width *= d if level % 2 == 0 else D
         total += width
+        if total > cap:
+            bound = "" if level == height - 1 else "at least "
+            raise SizeCapError(
+                f"hypertree would have {bound}{total} nodes, above the cap of {cap}"
+            )
     return total
 
 
@@ -61,11 +72,7 @@ def build_hypertree(d, D, height, first_id=0):
         raise ValueError("branching factors must be at least 1")
     if height < 0:
         raise ValueError("height must be nonnegative")
-    count = hypertree_node_count(d, D, height)
-    if count > NODE_CAP:
-        raise SizeCapError(
-            f"hypertree would have {count} nodes, above the cap of {NODE_CAP}"
-        )
+    hypertree_node_count(d, D, height, NODE_CAP)
     levels = [[first_id]]
     for level in range(height):
         width = d if level % 2 == 0 else D
@@ -314,11 +321,13 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
     if R <= r:
         raise ValueError("the tree parameter R must exceed the attack radius r")
 
+    # one tree is counted first, and no further than the cap: its leaves
+    # number the degree, so that and the template width stay small too
+    height = 2 * R - 1
+    per_tree = hypertree_node_count(d, D, height, NODE_CAP)
     degree = d**R * D ** (R - 1)
     if n_per_side is None:
         n_per_side = default_template_width(degree, 4 * r + 2)
-    height = 2 * R - 1
-    per_tree = hypertree_node_count(d, D, height)
     total_agents = 2 * n_per_side * per_tree
     if total_agents > NODE_CAP:
         raise SizeCapError(

@@ -120,7 +120,7 @@ def validate(instance):
     # the incidence map is keyed by the agents and cached, so it serves as
     # the agent set; agents is sorted, so a repeated id follows its first copy
     rows_of = instance.agent_rows()
-    violations = []
+    violations = [] if instance.agents else ["instance has no agents"]
     previous = None
     for v in instance.agents:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:

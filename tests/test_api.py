@@ -1,15 +1,19 @@
 import ast
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 import maxminlp
 from cli_child import cli
 from maxminlp.algorithms import make_algorithm, run_local
+from maxminlp.cli import main
 from maxminlp.evaluation import evaluate, objective
 from maxminlp.generators import gen_torus
 from maxminlp.lowerbound import parity_solution
 from maxminlp.lp import solve_maxmin
-from maxminlp.model import Instance, assignment_from_dict, load_instance
+from maxminlp.model import Instance, assignment_from_dict, load_instance, load_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -81,5 +85,25 @@ def test_an_assignment_is_a_plain_dict_and_a_torus_its_four_arguments(tmp_path):
     ]
     assert [type(x) for x in results] == [dict] * 4
     safe, optimum = results[:2]
-    assert evaluate(inst, safe).omega == objective(inst, safe) > 0
-    assert objective(inst, optimum) == evaluate(inst, optimum).omega > 0
+    assert evaluate(inst, safe)["omega"] == objective(inst, safe) > 0
+    assert objective(inst, optimum) == evaluate(inst, optimum)["omega"] > 0
+
+
+@pytest.mark.parametrize("algorithm, radius", [
+    (("local-avg", "--radius", "2"), ("--radius", "2")),
+    (("zero",), ()),
+])
+def test_evaluate_returns_the_report_eval_writes(tmp_path, algorithm, radius):
+    # the second assignment earns nothing, so its ratio is unbounded
+    inst, x, out = (tmp_path / name for name in ("torus.json", "x.json", "report.json"))
+    assert main(["gen-torus", "--dim", "2", "--side", "8", "--perturb", "--seed", "11",
+                 "-o", str(inst)]) == 0
+    assert main(["run", str(inst), "--algorithm", *algorithm, "-o", str(x)]) == 0
+    assert main(["eval", str(inst), str(x), *radius, "-o", str(out)]) == 0
+    report = evaluate(load_instance(inst), assignment_from_dict(load_json(x)),
+                      R=int(radius[1]) if radius else None)
+    assert type(report) is dict
+    written = json.loads(out.read_text())
+    del written["config"]
+    assert report == written
+    assert (report["ratio"] == "unbounded") == (algorithm == ("zero",))

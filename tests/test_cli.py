@@ -177,6 +177,47 @@ def test_solve_refuses_an_instance_without_beneficiaries(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--algorithm", "safe"),
+    ("solve",),
+    ("eval", "x.json", "--csv", "report.csv"),
+    ("growth", "--radius", "1"),
+])
+def test_every_reader_refuses_an_instance_without_agents(tmp_path, argv):
+    # its max violation would be -inf, which JSON cannot hold
+    path = tmp_path / "empty.json"
+    path.write_text('{"agents": [], "resources": [], "beneficiaries": []}')
+    (tmp_path / "x.json").write_text('{"values": {}}')
+    command, *rest = argv
+    proc = cli(command, str(path), *rest, "-o", "out.json", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: instance failed validation: instance has no agents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json", "x.json"]
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("adversary", "--algorithm", "safe", "-d", "1", "-D", "1",
+      "-r", "20000000", "-R", "20000001"), "at least 200001"),
+    (("gen-lowerbound", "-d", "1", "-D", "1", "-r", "100000000", "-R", "100000001"),
+     "at least 200001"),
+    # the full count has 60,206 digits, too many for int to spell
+    (("gen-lowerbound", "-d", "2", "-D", "2", "-r", "1", "-R", "100000"), "at least 262143"),
+])
+def test_an_oversized_construction_is_refused_at_once(tmp_path, argv, count):
+    # the tree is counted first and no further than the cap, before the
+    # template width is worked out
+    out = tmp_path / "out.json"
+    t0 = time.monotonic()
+    proc = cli(*argv, "-o", str(out))
+    elapsed = time.monotonic() - t0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: hypertree would have {count} nodes, above the cap of 200000\n"
+    )
+    assert not out.exists()
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
+
+
 def test_run_local_avg_requires_radius(tmp_path):
     path = gen_torus(tmp_path)
     proc = cli("run", str(path), "--algorithm", "local-avg")

@@ -1,5 +1,4 @@
 import json
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -9,13 +8,12 @@ import oracles
 from maxminlp import hypergraph, lp
 from maxminlp.cli import main
 from maxminlp.evaluation import (
-    EvaluationReport,
     benefits,
     evaluate,
     exact_sums,
     feasibility,
     objective,
-    write_reports_csv,
+    write_report_csv,
 )
 from maxminlp.generators import gen_random, gen_torus
 from maxminlp.hypergraph import ball, growth_factor, incidence
@@ -51,9 +49,9 @@ def test_feasibility_rejects_negative_activity():
 
 def test_evaluate_without_beneficiaries_leaves_the_objective_undefined():
     report = evaluate(Instance((0,), {0: {0: 1.0}}, {}), {0: 0.5})
-    assert report.omega is None
-    assert report.ratio is None
-    assert "no beneficiaries: objective undefined" in report.notes
+    assert report["omega"] is None
+    assert report["ratio"] is None
+    assert "no beneficiaries: objective undefined" in report["notes"]
 
 
 def test_domain_mismatch_raises():
@@ -126,68 +124,66 @@ def test_ratio_branches():
     inst = pair()
     # capacity x0 + 2 x1 <= 1 allows x = (1, 0) with benefit 3, the optimum
     report = evaluate(inst, {0: 0.5, 1: 0.0})
-    assert report.omega_star == pytest.approx(3.0)
-    assert report.ratio == pytest.approx(2.0)
-    assert report.notes == ()
+    assert report["omega_star"] == pytest.approx(3.0)
+    assert report["ratio"] == pytest.approx(2.0)
+    assert report["notes"] == []
     report = evaluate(inst, {0: 0.0, 1: 0.0})
-    assert report.ratio == math.inf
-    assert report.notes == ("achieved objective is zero: ratio unbounded",)
+    assert report["ratio"] == "unbounded"
+    assert report["notes"] == ["achieved objective is zero: ratio unbounded"]
     allzero = Instance((0,), {0: {0: 1.0}}, {1: {0: 1e-18}})
     # both sides vanish at double precision: treated as attained
     report = evaluate(allzero, {0: 0.0})
-    assert report.omega == 0.0
-    assert report.omega_star == 0.0
-    assert report.ratio == 1.0
-    assert report.notes == ()
+    assert report["omega"] == 0.0
+    assert report["omega_star"] == 0.0
+    assert report["ratio"] == 1.0
+    assert report["notes"] == []
 
 
 def test_ratio_refuses_oversized_instances(monkeypatch):
     monkeypatch.setattr(lp, "solve_maxmin", _no_oracle)
     inst = gen_random(12, 3, seed=0)
     report = evaluate(inst, {v: 0.0 for v in inst.agents}, oracle_cap=5)
-    assert report.omega_star is None
-    assert report.ratio is None
-    assert report.notes == ("oracle unavailable: 12 agents exceed the cap of 5",)
+    assert report["omega_star"] is None
+    assert report["ratio"] is None
+    assert report["notes"] == ["oracle unavailable: 12 agents exceed the cap of 5"]
 
 
 def test_evaluate_full_report():
     inst = gen_torus(dim=1, side=6)
     x = {v: 0.25 for v in inst.agents}
     report = evaluate(inst, x, R=1)
-    assert report.feasible
-    assert report.omega == pytest.approx(0.5)
-    assert report.omega_star == pytest.approx(1.0, abs=1e-9)
-    assert report.ratio == pytest.approx(2.0, abs=1e-9)
-    assert report.certificate == float(growth_factor(inst, 0) * growth_factor(inst, 1))
-    assert report.to_dict()["ratio"] == report.ratio
+    assert report["feasible"]
+    assert report["omega"] == pytest.approx(0.5)
+    assert report["omega_star"] == pytest.approx(1.0, abs=1e-9)
+    assert report["ratio"] == pytest.approx(2.0, abs=1e-9)
+    assert report["certificate"] == float(growth_factor(inst, 0) * growth_factor(inst, 1))
 
 
 def test_evaluate_respects_oracle_cap():
     inst = gen_torus(dim=2, side=4)
     x = {v: 0.0 for v in inst.agents}
     report = evaluate(inst, x, oracle_cap=3)
-    assert report.omega_star is None
-    assert report.ratio is None
-    assert any("oracle unavailable" in note for note in report.notes)
+    assert report["omega_star"] is None
+    assert report["ratio"] is None
+    assert any("oracle unavailable" in note for note in report["notes"])
 
 
 def test_evaluate_serialises_unbounded_ratio():
     inst = pair()
     report = evaluate(inst, {0: 0.0, 1: 0.0})
-    assert report.ratio == math.inf
-    assert report.to_dict()["ratio"] == "unbounded"
-    assert report.notes == ("achieved objective is zero: ratio unbounded",)
+    assert report["ratio"] == "unbounded"
+    assert report["notes"] == ["achieved objective is zero: ratio unbounded"]
 
 
 def test_evaluate_names_a_negative_objective():
     # the note used to call omega = -0.4 zero
     report = evaluate(pair(), {0: -0.2, 1: 0.2})
-    assert report.omega == pytest.approx(-0.4)
-    assert report.ratio == math.inf
-    assert report.notes == (
+    assert report["omega"] == pytest.approx(-0.4)
+    assert report["ratio"] == "unbounded"
+    assert report["notes"] == [
         "negative activity: agent 0 has -0.2",
         "achieved objective is negative: ratio unbounded",
-    )
+    ]
 
 
 def test_evaluate_names_the_lowest_negative_activity():
@@ -198,15 +194,15 @@ def test_evaluate_names_the_lowest_negative_activity():
     first, second, third = torus.agents[:3]
     x[first], x[second], x[third] = -0.1, -0.4, -0.4
     report = evaluate(torus, x, oracle_cap=0)
-    assert not report.feasible
-    assert report.max_violation < 0
-    assert report.notes[0] == f"negative activity: agent {second} has -0.4"
+    assert not report["feasible"]
+    assert report["max_violation"] < 0
+    assert report["notes"][0] == f"negative activity: agent {second} has -0.4"
     # within the feasibility tolerance there is nothing to name
     x = dict.fromkeys(torus.agents, 0.0)
     x[first] = -1e-12
     report = evaluate(torus, x, oracle_cap=0)
-    assert report.feasible
-    assert not any(note.startswith("negative activity") for note in report.notes)
+    assert report["feasible"]
+    assert not any(note.startswith("negative activity") for note in report["notes"])
 
 
 def test_evaluate_rejects_nonpositive_radius(monkeypatch):
@@ -224,21 +220,36 @@ def test_evaluate_rejects_a_negative_oracle_cap(monkeypatch):
 
 
 def test_csv_report_golden(tmp_path):
-    report = EvaluationReport(
-        feasible=True,
-        max_violation=-0.25,
-        omega=0.5,
-        omega_star=1.0,
-        ratio=2.0,
-        certificate=5.0,
-        benefits={0: 0.5},
-    )
+    report = {
+        "feasible": True,
+        "max_violation": -0.25,
+        "omega": 0.5,
+        "omega_star": 1.0,
+        "ratio": 2.0,
+        "certificate": 5.0,
+        "benefits": {"0": 0.5},
+        "notes": [],
+    }
     path = tmp_path / "out.csv"
-    write_reports_csv(path, [("toy.json", "safe", report)])
+    write_report_csv(path, "toy.json", "safe", report)
     assert path.read_bytes() == (
         b"instance,algorithm,feasible,max_violation,omega,omega_star,ratio,certificate\r\n"
         b"toy.json,safe,True,-0.25,0.5,1.0,2.0,5.0\r\n"
     )
+
+
+def test_csv_report_writes_unbounded_and_empty_cells(tmp_path):
+    report = evaluate(pair(), {0: 0.0, 1: 0.0})
+    path = tmp_path / "out.csv"
+    write_report_csv(path, "pair.json", "zero", report)
+    assert path.read_bytes().splitlines()[1] == b"pair.json,zero,True,-1.0,0.0,3.0,unbounded,"
+
+
+def test_csv_report_refuses_a_report_without_a_field(tmp_path):
+    report = evaluate(pair(), {0: 0.0, 1: 0.0})
+    del report["omega_star"]
+    with pytest.raises(KeyError, match="omega_star"):
+        write_report_csv(tmp_path / "out.csv", "pair.json", "zero", report)
 
 
 def test_acyclicity_classification():

@@ -187,6 +187,10 @@ def test_validate_flags_each_defect(mutate, fragment):
     assert any(fragment in line for line in violations), violations
 
 
+def test_validate_refuses_an_instance_without_agents():
+    assert validate(Instance((), {}, {})) == ("instance has no agents",)
+
+
 def test_validate_refuses_booleans_that_would_pass_for_one():
     assert validate(Instance((True,), {0: {True: 1.0}}, {1: {True: True}})) == (
         "agent True: ids must be nonnegative integers",
