@@ -66,9 +66,7 @@ def _cmd_gen_random(args):
 def _cmd_gen_lowerbound(args):
     from .lowerbound import build_adversarial_instance
 
-    instance, meta = build_adversarial_instance(
-        args.d, args.D, args.r, args.R, args.seed, n_per_side=args.n_per_side
-    )
+    instance, meta = build_adversarial_instance(args.d, args.D, args.r, args.R)
     template = meta.template
     _save_generated(instance, args, n_per_side=template.n_per_side, template_girth=template.girth)
     print(f"template girth {template.girth}, degree {template.degree}")
@@ -116,9 +114,9 @@ def _cmd_adversary(args):
     from .lowerbound import adversarial_lower_bound
 
     algorithm = make_algorithm(args.algorithm, args.radius)
-    report = adversarial_lower_bound(
-        algorithm, args.d, args.D, args.r, args.R, args.seed, n_per_side=args.n_per_side
-    )
+    report = adversarial_lower_bound(algorithm, args.d, args.D, args.r, args.R)
+    # --seed builds nothing; params keep it, as reports have always carried it
+    report["params"]["seed"] = args.seed
     delta = report["delta"]
     print(f"selected tree p = {delta['p']} (delta = {delta['max']:.6g})")
     print(f"omega_alg(sub) = {report['omega_alg_sub']:.12g}")
@@ -188,8 +186,7 @@ def _add_attack(p):
     p.add_argument("-D", type=int, required=True, help="children per benefit row")
     p.add_argument("-r", type=int, required=True, help="attack radius")
     p.add_argument("-R", type=int, required=True, help="tree parameter, must exceed r")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-side", type=int, default=None, help="template width override")
+    p.add_argument("--seed", type=int, default=0, help="recorded only; changes no construction")
 
 
 def build_parser():

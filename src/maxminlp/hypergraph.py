@@ -14,10 +14,8 @@ others, and its rows hold ``None`` for every coefficient beyond the horizon.
 and its template's girth all walk through :func:`distances`; a local
 algorithm's ball is the members of its centre's view, so ``local-avg``,
 which runs two rounds at horizon R under its registered horizon 2R + 1,
-walks nothing but views.  Only the template greedy keeps a search of its own, the
-bitmask steps of ``lowerbound._PartialTemplate.rights_within``, which build
-the template several times faster.  An agent's radius-r knowledge is a
-:class:`View`.
+walks nothing but views.  No module keeps a search of its own.  An agent's
+radius-r knowledge is a :class:`View`.
 """
 
 from typing import NamedTuple

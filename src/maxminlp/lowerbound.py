@@ -2,16 +2,19 @@
 
 The construction glues many node-disjoint hypertrees leaf-to-leaf through a
 regular bipartite template whose girth exceeds what any radius-r view can
-see.  Whatever a fixed-horizon rule outputs on the full instance, at least
-one tree's leaves are no poorer than their partners; carving out that tree
-plus a thin shell yields a sub-instance on which the rule provably behaves
+see: a D(k, q) graph of Lazebnik, Ustimenko and Woldar cut down to the
+degree, built without search or seed and checked by its exact girth.
+Whatever a fixed-horizon rule outputs on the full instance, at least one
+tree's leaves are no poorer than their partners; carving out that tree plus
+a thin shell yields a sub-instance on which the rule provably behaves
 identically, yet whose true optimum is 1.  Counting activity level by level
 then caps the benefit the rule can have delivered, which bounds from below
 the approximation ratio any such rule can claim.
 """
 
+import functools
+import itertools
 import math
-import random
 from typing import NamedTuple
 
 from .evaluation import exact_sums, objective
@@ -20,16 +23,10 @@ from .model import Instance, InvalidInstanceError, restrict
 from .algorithms import run_local
 
 NODE_CAP = 200_000
-# restarts of the template greedy before a width is refused as too narrow
-TEMPLATE_ATTEMPTS = 100
 
 
 class SizeCapError(ValueError):
     """The requested construction would exceed the node cap."""
-
-
-class TemplateGenerationError(RuntimeError):
-    """Random search exhausted its attempt budget without the required girth."""
 
 
 class HorizonTooLargeError(ValueError):
@@ -131,143 +128,84 @@ def _graph_girth(adj):
     return best
 
 
-def _set_bits(mask):
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _template_shape(degree, min_girth):
+    """(q, k) of the D(k, q) that :func:`build_regular_bipartite` restricts:
+    q is the least prime at least ``degree``, and k the least length whose
+    girth bound reaches ``min_girth``, k + 4 for even k and k + 5 for odd
+    k >= 3."""
+    q = max(degree, 2)
+    while any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
+        q += 1
+    return q, max(2, min_girth - 5)
 
 
-def _kth_set_bit(mask, k):
-    """Position of the set bit of ``mask`` that has k set bits below it."""
-    # invariant: at most k set bits below lo, more than k below hi
-    lo, hi = 0, mask.bit_length()
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (mask & ((1 << mid) - 1)).bit_count() > k:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def template_width(degree, min_girth):
+    """The template's vertices per side, worked out before any edge is built."""
+    if degree == 1:
+        return 2
+    q, k = _template_shape(degree, min_girth)
+    return degree * q ** (k - 1)
 
 
-class _PartialTemplate:
-    """The greedy's graph so far, with right vertices as bits of a mask.
+def _line_through(point, c, q):
+    """The line of D(k, q) with first coordinate ``c`` that meets ``point``.
 
-    Bit i stands for right vertex n_per_side + i.  ``near[i]`` has the bits
-    of the right vertices within two hops of bit i, i itself included, so a
-    search from a left vertex moves between right vertices two hops at a
-    time and never expands a left one.
+    Its coordinate j > 0 is p_j + a * b mod q, where (a, b) is (l_{j-1}, p_0)
+    for j = 1, 2, (l_{j-2}, p_0) for j mod 4 in {1, 2} and (l_0, p_{j-2})
+    for j mod 4 in {0, 3}: the incidence equations of D(k, q) with the
+    coordinates in the order its authors list them.
     """
-
-    def __init__(self, n_per_side):
-        self.rights_of = [[] for _ in range(n_per_side)]
-        self.mask_of = [0] * n_per_side
-        self.near = [1 << i for i in range(n_per_side)]
-
-    def add_edge(self, u, i):
-        """Join left vertex u to the right vertex of bit i."""
-        bit = 1 << i
-        for j in self.rights_of[u]:
-            self.near[j] |= bit
-        self.rights_of[u].append(i)
-        self.mask_of[u] |= bit
-        self.near[i] |= self.mask_of[u]
-
-    def add_matching(self, rng, window):
-        """Add one perfect matching, edge by edge in a shuffled left order,
-        never joining vertices within ``window`` hops; False as soon as a
-        left vertex has no allowed partner left.
-        """
-        order = list(range(len(self.mask_of)))
-        rng.shuffle(order)
-        free = (1 << len(order)) - 1
-        for u in order:
-            # a new edge u-w closes a cycle of length dist(u, w) + 1
-            allowed = free & ~self.rights_within(u, window)
-            count = allowed.bit_count()
-            if not count:
-                return False
-            # the draw of rng.choice over the ascending allowed bits
-            i = _kth_set_bit(allowed, rng.randrange(count))
-            self.add_edge(u, i)
-            free &= ~(1 << i)
-        return True
-
-    def rights_within(self, u, window):
-        """Mask of the right vertices within an even ``window`` of hops from u.
-
-        Every edge joins the two sides, so right vertices sit at odd distances
-        from the left vertex u and window - 1 hops reach the same ones: u's
-        neighbours, then window / 2 - 1 two-hop steps.  This is the template
-        greedy's bitmask search, kept beside :func:`distances` because whole
-        masks build the adversary's template about seven times faster.
-        """
-        if window < 2:
-            return 0
-        seen = self.mask_of[u]
-        frontier = self.rights_of[u]
-        for _ in range(window // 2 - 1):
-            reached = 0
-            for j in frontier:
-                reached |= self.near[j]
-            step = reached & ~seen
-            if not step:
-                break
-            seen |= step
-            frontier = _set_bits(step)
-        return seen
+    line = [c]
+    for j in range(1, len(point)):
+        if j % 4 in (1, 2):
+            a, b = line[j - 1 if j < 3 else j - 2], point[0]
+        else:
+            a, b = c, point[j - 2]
+        line.append((point[j] + a * b) % q)
+    return line
 
 
-def build_regular_bipartite(degree, min_girth, n_per_side, seed):
-    """Seeded randomized greedy: add ``degree`` perfect matchings edge by
-    edge, never joining two vertices closer than min_girth - 1 in the graph
-    built so far, restarting from scratch whenever a matching gets stuck.
+def build_regular_bipartite(degree, min_girth):
+    """A ``degree``-regular bipartite graph of girth at least ``min_girth``,
+    built without search or seed.
 
-    Plain rejection sampling is useless here: the number of 4-cycles in a
-    random regular bipartite graph is roughly Poisson with mean
-    (degree-1)^4 / 4 regardless of n, so girth 6 at degree 4 would already
-    need on the order of e^20 draws.  The distance-checked greedy succeeds
-    almost surely once n_per_side comfortably exceeds the number of
-    vertices a girth window can see.
-
-    Raises TemplateGenerationError with advice once the attempt budget runs
-    out; for a fixed seed the accepted graph (and hence everything built on
-    it) is deterministic.  At the default width a few restarts suffice, so
-    the budget of TEMPLATE_ATTEMPTS refuses a width that is too narrow
-    within seconds.
+    Degree 1 is a perfect matching on two vertices per side.  Above it the
+    graph is D(k, q) of Lazebnik, Ustimenko and Woldar ("A new series of
+    dense graphs of high girth", Bull. AMS 32, 1995), with q and k from
+    :func:`_template_shape`, restricted to the points and lines whose first
+    coordinate is below the degree.  A point meets one line of each first
+    coordinate and a line one point of each, so the subgraph is regular,
+    and its girth is at least that of D(k, q); k = 2 is the biaffine plane.
+    Ids rank the k-tuples lexicographically, points first.  The exact
+    :func:`_graph_girth` guards the construction: a graph that is not
+    regular, or falls short of ``min_girth``, is refused.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    if n_per_side < degree:
-        raise ValueError("n_per_side must be at least the degree")
     if min_girth % 2:
         raise ValueError("bipartite girth targets must be even")
-
-    rng = random.Random(seed)
-    for _ in range(TEMPLATE_ATTEMPTS):
-        graph = _PartialTemplate(n_per_side)
-        if not all(graph.add_matching(rng, min_girth - 2) for _ in range(degree)):
-            continue
-        edges = [(u, n_per_side + i) for u in range(n_per_side) for i in graph.rights_of[u]]
-        adj = {q: [] for q in range(2 * n_per_side)}
-        for u, w in edges:
-            adj[u].append(w)
-            adj[w].append(u)
-        girth = _graph_girth(adj)
-        if girth is not None and girth < min_girth:
-            raise AssertionError("greedy construction violated its own girth bound")
-        return BipartiteTemplate(
-            n_per_side=n_per_side,
-            degree=degree,
-            edges=tuple(sorted(edges)),
-            girth=girth,
+    n = template_width(degree, min_girth)
+    if degree == 1:
+        edges = [(0, 3), (1, 2)]
+    else:
+        q, k = _template_shape(degree, min_girth)
+        points = itertools.product(range(degree), *[range(q)] * (k - 1))
+        # a line's id is n plus its coordinates read as base-q digits
+        edges = [
+            (u, n + functools.reduce(lambda rank, x: rank * q + x, _line_through(p, c, q)))
+            for u, p in enumerate(points)
+            for c in range(degree)
+        ]
+    adj = {v: [] for v in range(2 * n)}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    girth = _graph_girth(adj)
+    if girth is not None and girth < min_girth or any(len(e) != degree for e in adj.values()):
+        raise ArithmeticError(
+            f"the template is not {degree}-regular of girth at least {min_girth} (girth {girth})"
         )
-    raise TemplateGenerationError(
-        f"no {degree}-regular bipartite graph of girth >= {min_girth} found in "
-        f"{TEMPLATE_ATTEMPTS} attempts; try a larger n_per_side"
-    )
+    return BipartiteTemplate(n, degree, tuple(sorted(edges)), girth)
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +229,7 @@ class LowerBoundMeta(NamedTuple):
         return [v for level in self.tree_levels[q] for v in level]
 
 
-def default_template_width(degree, min_girth):
-    """Twice the worst-case number of partners the girth window can block.
-
-    With that much room the greedy essentially never sticks, and the
-    template stays linear in size; everything downstream is per tree, so a
-    roomy template costs only memory.
-    """
-    blocked = 0
-    reach = 1
-    for t in range(1, min_girth - 1):
-        reach *= degree if t == 1 else degree - 1
-        if t % 2 == 1:
-            blocked += reach
-    return max(degree + 1, 2 * blocked)
-
-
-def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
+def build_adversarial_instance(d, D, r, R):
     """One hypertree of height 2R-1 per template vertex, leaves paired along
     template edges.  Packing rows span an even-level node and its d children
     (coefficient 1); benefit rows span an odd-level node and its D children
@@ -326,15 +248,13 @@ def build_adversarial_instance(d, D, r, R, seed, n_per_side=None):
     height = 2 * R - 1
     per_tree = hypertree_node_count(d, D, height, NODE_CAP)
     degree = d**R * D ** (R - 1)
-    if n_per_side is None:
-        n_per_side = default_template_width(degree, 4 * r + 2)
-    total_agents = 2 * n_per_side * per_tree
+    total_agents = 2 * template_width(degree, 4 * r + 2) * per_tree
     if total_agents > NODE_CAP:
         raise SizeCapError(
             f"construction would have {total_agents} agents, above the cap of {NODE_CAP}"
         )
 
-    template = build_regular_bipartite(degree, 4 * r + 2, n_per_side, seed)
+    template = build_regular_bipartite(degree, 4 * r + 2)
 
     # node t of a level spans itself and the t-th slice of w children in the
     # next level: a packing row on even levels (w = d), a benefit row on odd
@@ -462,7 +382,7 @@ def _certified_ratio(witness, omega_alg):
     return ratio
 
 
-def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
+def adversarial_lower_bound(algorithm, d, D, r, R):
     """Run the whole attack and certify a ratio lower bound for ``algorithm``.
 
     Returns the report that ``adversary`` writes, as a JSON-ready dict.
@@ -483,7 +403,7 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
             f"algorithm {algorithm.name!r} has horizon {algorithm.horizon}, "
             f"which exceeds the attack radius {r}"
         )
-    full, meta = build_adversarial_instance(d, D, r, R, seed, n_per_side=n_per_side)
+    full, meta = build_adversarial_instance(d, D, r, R)
     x_full = run_local(full, algorithm)
     sub, p, delta = select_hard_subinstance(full, meta, x_full)
     try:
@@ -527,7 +447,6 @@ def adversarial_lower_bound(algorithm, d, D, r, R, seed, n_per_side=None):
         "D": D,
         "r": r,
         "R": R,
-        "seed": seed,
         "n_per_side": meta.template.n_per_side,
         "template_degree": meta.template.degree,
         "template_girth": meta.template.girth,

@@ -10,6 +10,7 @@ on the incidence graph is networkx's, and the payload of an instance file
 is built as plain dictionaries for ``json.dumps`` to spell.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -241,40 +242,29 @@ def bipartite_girth(edges):
     return None if g == float("inf") else g
 
 
-def reference_regular_bipartite(degree, min_girth, n_per_side, seed, max_attempts):
-    """The template greedy as first written, for comparing edge streams.
+def bipartite_girth_four_or_six(edges):
+    """The girth of a simple bipartite graph when it is 4 or 6, else None.
 
-    Each step searches every vertex, of either side, within min_girth - 2
-    hops of the left endpoint, and draws from the sorted list of free right
-    vertices outside that ball.  Returns the sorted edges, or None when the
-    attempt budget runs out.
+    ``edges`` are (left, right) pairs.  Common neighbours are counted, not
+    walked: two left vertices with two of them close a 4-cycle.  Without
+    those, three left vertices that pairwise share a neighbour close a
+    6-cycle unless one right vertex is the neighbour all three share, so a
+    6-cycle exists exactly when the triangles of the share-a-neighbour graph
+    on the left outnumber the triples of neighbours of one right vertex.
+    networkx's girth walks every edge from every root and takes about half a
+    minute on a degree-36 template of 1,332 vertices a side; this takes a
+    fraction of a second.
     """
-    import random
-
-    rng = random.Random(seed)
-    rights = range(n_per_side, 2 * n_per_side)
-    for _ in range(max_attempts):
-        adj = {q: [] for q in range(2 * n_per_side)}
-        stuck = False
-        for _ in range(degree):
-            order = list(range(n_per_side))
-            rng.shuffle(order)
-            free = set(rights)
-            for u in order:
-                seen = frontier = {u}
-                for _ in range(min_girth - 2):
-                    frontier = {w for v in frontier for w in adj[v]} - seen
-                    seen = seen | frontier
-                allowed = sorted(free - seen)
-                if not allowed:
-                    stuck = True
-                    break
-                w = rng.choice(allowed)
-                adj[u].append(w)
-                adj[w].append(u)
-                free.discard(w)
-            if stuck:
-                break
-        if not stuck:
-            return sorted((u, w) for u in range(n_per_side) for w in adj[u])
-    return None
+    lefts = {u: i for i, u in enumerate(sorted({u for u, _ in edges}))}
+    rights = {w: i for i, w in enumerate(sorted({w for _, w in edges}))}
+    A = np.zeros((len(lefts), len(rights)))
+    for u, w in edges:
+        A[lefts[u], rights[w]] = 1.0
+    shared = A @ A.T
+    np.fill_diagonal(shared, 0.0)
+    if (shared > 1).any():
+        return 4
+    B = (shared > 0).astype(float)
+    triangles = np.trace(B @ B @ B) / 6
+    stars = sum(math.comb(int(k), 3) for k in A.sum(axis=0))
+    return 6 if triangles > stars else None

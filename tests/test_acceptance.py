@@ -107,7 +107,7 @@ def test_criterion_5_adversarial_structural_suite():
     t0 = time.monotonic()
     d, D, r, R = 2, 1, 1, 2
     algorithm = SafeAlgorithm()
-    full, meta = build_adversarial_instance(d, D, r, R, seed=0)
+    full, meta = build_adversarial_instance(d, D, r, R)
     x_full = run_local(full, algorithm)
     sub, p, delta = select_hard_subinstance(full, meta, x_full)
     levels = meta.tree_levels[p]

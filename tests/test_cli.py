@@ -254,7 +254,7 @@ def test_gen_lowerbound_and_adversary(tmp_path):
                "--seed", "0", "-o", str(lb))
     assert proc.returncode == 0, proc.stderr
     inst = load_instance(lb)
-    assert len(inst.agents) == 1440
+    assert len(inst.agents) == 360
     assert json.loads(lb.read_text())["config"]["template_girth"] == 6
 
     report_path = tmp_path / "adv.json"
@@ -299,18 +299,15 @@ def test_adversary_rejects_farsighted_algorithm(tmp_path):
     assert "exceeds the attack radius" in proc.stderr
 
 
-def test_adversary_refuses_a_narrow_template_promptly(tmp_path):
-    # a quarter of the default width of 800: the attempt budget runs out in
-    # about a second instead of minutes
+def test_adversary_runs_at_three_and_three(tmp_path):
+    # degree 27 on the biaffine plane over Z_29 cut to 27 * 29 a side: 62,640
+    # agents, under the cap
     out = tmp_path / "adv.json"
-    t0 = time.monotonic()
-    proc = cli("adversary", "--algorithm", "safe", "-d", "2", "-D", "2",
-               "-r", "1", "-R", "2", "--n-per-side", "200", "-o", str(out))
-    elapsed = time.monotonic() - t0
-    assert proc.returncode == 1
-    assert "found in 100 attempts; try a larger n_per_side" in proc.stderr
-    assert not out.exists()
-    assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
+    proc = cli("adversary", "--algorithm", "safe", "-d", "3", "-D", "3",
+               "-r", "1", "-R", "2", "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    params = json.loads(out.read_text())["params"]
+    assert (params["agents"], params["template_girth"]) == (62_640, 6)
 
 
 def test_adversary_refuses_a_radius_the_rule_does_not_use(tmp_path):
