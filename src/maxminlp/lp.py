@@ -3,7 +3,9 @@
 The program is: maximise omega subject to A x <= 1 (resources) and
 omega - C x <= 0 (beneficiaries), x >= 0.  Its right-hand sides are
 nonnegative and x = 0, omega = 0 is feasible, so omega is taken nonnegative
-and the slack basis is a feasible start: no phase 1, no free variable.
+and the slack basis is a feasible start: no phase 1, no free variable.  One
+private object, built from the sub-instance, holds the program, its tableau
+and the basis, and runs the simplex on them.
 
 Pricing is Dantzig's (largest reduced cost, lowest index on ties).  After m
 degenerate pivots in a row (m = rows) the lowest eligible index enters until
@@ -24,8 +26,6 @@ where a simplex runs: every caller of :func:`solve_maxmin` imports it at call
 time, so a command that solves no LP never loads numpy.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .evaluation import FEASIBILITY_TOL
@@ -40,86 +40,15 @@ SINGULAR_TOL = 1e-11
 _PIVOT_BUDGET_FACTOR = 50
 
 
-class MaxMinLP(NamedTuple):
-    """The epigraph program: the column count, (row, column, coefficient)
-    arrays of the constraint matrix's nonzeros, and one right-hand side per
-    row."""
-
-    n_columns: int
-    entries: tuple
-    rhs: np.ndarray
-
-
-def assemble_maxmin_lp(sub_instance):
-    """Epigraph form of the max-min objective.
-
-    Column 0 is the common benefit level omega, then one column per agent in
-    instance order.  Rows are the resources, then the beneficiaries, each in
-    instance order.
-    """
-    if not sub_instance.beneficiaries:
-        raise ValueError("empty K: the max-min objective needs at least one beneficiary")
-    col = {v: 1 + t for t, v in enumerate(sub_instance.agents)}
-    entries = []
-    r = 0
-    for kind, mapping, sign in (
-        ("resource", sub_instance.resources, 1.0),
-        ("beneficiary", sub_instance.beneficiaries, -1.0),
-    ):
-        for i, row in mapping.items():
-            if sign < 0:
-                entries.append((r, 0, 1.0))
-            for v, a in row.items():
-                if v not in col:
-                    raise ValueError(f"{kind} {i} references unknown agent {v}")
-                entries.append((r, col[v], sign * a))
-            r += 1
-    r, c, a = zip(*entries)
-    return MaxMinLP(
-        n_columns=1 + len(sub_instance.agents),
-        entries=(np.array(r, dtype=np.intp), np.array(c, dtype=np.intp), np.array(a)),
-        rhs=np.array([1.0] * len(sub_instance.resources) + [0.0] * len(sub_instance.beneficiaries)),
-    )
-
-
-def _load(T, lp):
-    """Write [A | b] over the first m rows of T and [c | 0] below them.
-
-    The objective row, maximise omega, becomes the reduced costs of the
-    nonbasic slots under pivoting, and its last entry minus the objective.
-    """
-    T.fill(0.0)
-    r, c, a = lp.entries
-    T[r, c] = a
-    T[:-1, -1] = lp.rhs
-    T[-1, 0] = 1.0
-
-
-def _pivot(T, pr, pc):
-    """Exchange the variable basic in row pr with the one in slot pc.
-
-    Row pr is scaled to a unit pivot and slot pc cleared from every other
-    row by elementwise row operations; the slot then holds the leaving
-    variable's column.
-    """
-    pivot = T[pr, pc]
-    factors = T[:, pc].copy()
-    row = T[pr]
-    row /= pivot
-    factors[pr] = 0.0
-    T -= np.outer(factors, row)
-    T[:, pc] = -factors / pivot
-    row[pc] = 1.0 / pivot
-
-
-def _activity(lp, x):
-    """Row activities A x of the structural point x."""
-    r, c, a = lp.entries
-    return np.bincount(r, weights=a * x[c], minlength=len(lp.rhs))
-
-
 class _Solve:
-    """One run of the simplex on a condensed tableau.
+    """One run of the simplex on the epigraph program of a sub-instance.
+
+    The object holds the program, its condensed tableau and the basis.
+    Column 0 of the program is the common benefit level omega, then one
+    column per agent in instance order; rows are the resources, then the
+    beneficiaries, each in instance order.  ``rows``, ``cols`` and
+    ``coeffs`` list the constraint matrix's nonzeros and ``rhs`` has one
+    entry per row.
 
     ``T`` has a row per constraint plus the objective row, and a slot per
     nonbasic variable plus the right-hand side; basic columns are unit
@@ -128,16 +57,53 @@ class _Solve:
     in row i, ``nonbasic[s]`` the one in slot s.
     """
 
-    def __init__(self, lp):
-        self.lp = lp
-        self.m, self.n = m, n = len(lp.rhs), lp.n_columns
+    def __init__(self, sub_instance):
+        if not sub_instance.beneficiaries:
+            raise ValueError("empty K: the max-min objective needs at least one beneficiary")
+        col = {v: 1 + t for t, v in enumerate(sub_instance.agents)}
+        entries = []
+        r = 0
+        for kind, mapping, sign in (
+            ("resource", sub_instance.resources, 1.0),
+            ("beneficiary", sub_instance.beneficiaries, -1.0),
+        ):
+            for i, row in mapping.items():
+                if sign < 0:
+                    entries.append((r, 0, 1.0))
+                for v, a in row.items():
+                    if v not in col:
+                        raise ValueError(f"{kind} {i} references unknown agent {v}")
+                    entries.append((r, col[v], sign * a))
+                r += 1
+        rows, cols, coeffs = zip(*entries)
+        self.rows, self.cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        self.coeffs = np.array(coeffs)
+        self.rhs = np.array([1.0] * len(sub_instance.resources) + [0.0] * len(sub_instance.beneficiaries))
+        self.m, self.n = m, n = r, 1 + len(sub_instance.agents)
         self.T = np.empty((m + 1, n + 1))
-        _load(self.T, lp)
-        self.basis = n + np.arange(m)
-        self.nonbasic = np.arange(n)
+        self.load()
         self.budget = _PIVOT_BUDGET_FACTOR * (m + n)
         self.pivots = 0
         self.residual = 0.0
+
+    def load(self):
+        """Write [A | b] over the first m rows of T and [c | 0] below them,
+        and make the slack basis current.
+
+        The objective row, maximise omega, becomes the reduced costs of the
+        nonbasic slots under pivoting, and its last entry minus the objective.
+        """
+        T = self.T
+        T.fill(0.0)
+        T[self.rows, self.cols] = self.coeffs
+        T[:-1, -1] = self.rhs
+        T[-1, 0] = 1.0
+        self.basis = self.n + np.arange(self.m)
+        self.nonbasic = np.arange(self.n)
+
+    def activity(self, x):
+        """Row activities A x of the structural point x."""
+        return np.bincount(self.rows, weights=self.coeffs * x[self.cols], minlength=self.m)
 
     def point(self):
         """Values of all n + m variables at the current basis."""
@@ -148,7 +114,7 @@ class _Solve:
     def measure_residual(self):
         """Largest |A x + s - b| of the basic point, in the program's own rows."""
         point = self.point()
-        gap = _activity(self.lp, point[: self.n]) + point[self.n :] - self.lp.rhs
+        gap = self.activity(point[: self.n]) + point[self.n :] - self.rhs
         self.residual = float(np.abs(gap).max())
 
     def refuse(self, what):
@@ -158,7 +124,21 @@ class _Solve:
         )
 
     def exchange(self, pr, pc):
-        _pivot(self.T, pr, pc)
+        """Exchange the variable basic in row pr with the one in slot pc.
+
+        Row pr is scaled to a unit pivot and slot pc cleared from every other
+        row by elementwise row operations; the slot then holds the leaving
+        variable's column.
+        """
+        T = self.T
+        pivot = T[pr, pc]
+        factors = T[:, pc].copy()
+        row = T[pr]
+        row /= pivot
+        factors[pr] = 0.0
+        T -= np.outer(factors, row)
+        T[:, pc] = -factors / pivot
+        row[pc] = 1.0 / pivot
         self.basis[pr], self.nonbasic[pc] = self.nonbasic[pc], self.basis[pr]
 
     def rebuild(self):
@@ -173,9 +153,7 @@ class _Solve:
         structural = np.sort(self.basis[self.basis < n])
         open_rows = np.ones(m, dtype=bool)
         open_rows[self.basis[self.basis >= n] - n] = False
-        _load(T, self.lp)
-        self.basis = n + np.arange(m)
-        self.nonbasic = np.arange(n)
+        self.load()
         for j in structural:
             candidates = np.flatnonzero(open_rows)
             size = np.abs(T[candidates, j])
@@ -233,7 +211,7 @@ class _Solve:
 
 
 def solve_maxmin(sub_instance):
-    """Canonical optimum of the assembled max-min LP: (values, omega), where
+    """Canonical optimum of the max-min epigraph LP: (values, omega), where
     ``values`` is a plain dict from agent id to activity.
 
     The fixed pivot path makes the answer a pure function of the
@@ -244,11 +222,10 @@ def solve_maxmin(sub_instance):
     or a sign by more than ``FEASIBILITY_TOL``, the tolerance
     :func:`~maxminlp.evaluation.feasibility` holds a point to.
     """
-    lp = assemble_maxmin_lp(sub_instance)
-    solve = _Solve(lp)
+    solve = _Solve(sub_instance)
     solve.run()
     x = solve.point()[: solve.n]
-    excess = _activity(lp, np.maximum(x, 0.0)) - lp.rhs
+    excess = solve.activity(np.maximum(x, 0.0)) - solve.rhs
     if x.min() < -FEASIBILITY_TOL or excess.max() > FEASIBILITY_TOL:
         solve.refuse("returned an infeasible point")
     values = {v: max(0.0, float(x[1 + t])) for t, v in enumerate(sub_instance.agents)}

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from pathlib import Path
 
 
@@ -85,6 +86,9 @@ def _canonical(row):
 
 def _check_rows(kind, rows, agent_set, violations):
     for rid, row in rows.items():
+        # a float, string or boolean id is written as no id a reader takes
+        if not isinstance(rid, int) or isinstance(rid, bool):
+            violations.append(f"{kind} {rid!r}: ids must be integers")
         if not row:
             violations.append(f"{kind} {rid}: empty support")
         for v, coeff in row.items():
@@ -93,7 +97,9 @@ def _check_rows(kind, rows, agent_set, violations):
                 violations.append(f"{kind} {rid}: unknown agent {v}")
             if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
                 violations.append(f"{kind} {rid}: {coeff!r} for agent {v} is not a number")
-            elif not math.isfinite(coeff):
+            # compared, not converted: an integer too large for a float is
+            # refused here, where math.isfinite would raise
+            elif not abs(coeff) <= sys.float_info.max:
                 violations.append(f"{kind} {rid}: non-finite coefficient for agent {v}")
             elif coeff <= 0:
                 violations.append(f"{kind} {rid}: nonpositive coefficient for agent {v}")
@@ -203,7 +209,8 @@ def _integer_id(value, what):
 
 def _by_agent(mapping, where):
     """``{int(key): float(value)}`` from a JSON object, refusing two keys that
-    name one agent and a value that is not a JSON number.  A key is ASCII
+    name one agent, a value that is not a JSON number and an integer too
+    large for a float.  A key is ASCII
     digits with an optional leading ``-``, as the writers spell an id; ``int``
     alone would also read ``"1_0"``, ``" 0"``, ``"+0"`` and non-ASCII digits,
     and ``float`` would read a string value the same loose way."""
@@ -221,6 +228,8 @@ def _by_agent(mapping, where):
             )
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{where}: {value!r} for agent {v} is not a number")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"{where}: the integer for agent {v} is too large for a float")
         keys[v] = key
         out[v] = float(value)
     return out

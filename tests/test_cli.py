@@ -436,6 +436,9 @@ def test_a_row_that_is_not_an_object_is_refused_by_name(tmp_path):
      "resource 0: missing key 'coeffs'"),
     ({"agents": [0], "resources": [], "beneficiaries": [{"id": 2, "coeffs": {"0": [1.0]}}]},
      "beneficiary 2: [1.0] for agent 0 is not a number"),
+    # a JSON integer is read exactly, and this one has no float
+    ({"agents": [0], "resources": [], "beneficiaries": [{"id": 2, "coeffs": {"0": 10**400}}]},
+     "beneficiary 2: the integer for agent 0 is too large for a float"),
 ])
 def test_a_malformed_instance_is_refused_naming_its_culprit(tmp_path, payload, culprit):
     inst = tmp_path / "inst.json"
@@ -449,6 +452,7 @@ def test_a_malformed_instance_is_refused_naming_its_culprit(tmp_path, payload, c
     ([0.5], "top level: expected an object, not a list"),
     ({"vals": {}}, "top level: missing key 'values'"),
     ({"values": {"0": None}}, "values: None for agent 0 is not a number"),
+    ({"values": {"0": 0.5, "1": -10**400}}, "values: the integer for agent 1 is too large for a float"),
 ])
 def test_a_malformed_assignment_is_refused_naming_its_culprit(tmp_path, payload, culprit):
     inst = tmp_path / "inst.json"

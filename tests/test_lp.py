@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from maxminlp import lp
 from maxminlp.generators import gen_random, gen_torus
-from maxminlp.lp import assemble_maxmin_lp, solve_maxmin
+from maxminlp.lp import solve_maxmin
 from maxminlp.model import Instance
 
 
@@ -18,31 +18,25 @@ def test_assemble_epigraph_layout():
         resources={0: {4: 1.0, 7: 2.0}},
         beneficiaries={1: {4: 3.0}, 2: {7: 0.5}},
     )
-    prog = assemble_maxmin_lp(inst)
+    solve = lp._Solve(inst)
     # column 0 is omega, then x4 and x7; rows are resource 0, then
     # beneficiaries 1 and 2
-    assert prog.n_columns == 3
-    assert prog.rhs.tolist() == [1.0, 0.0, 0.0]
-    r, c, a = prog.entries
-    assert list(zip(r.tolist(), c.tolist(), a.tolist())) == [
+    assert (solve.m, solve.n) == (3, 3)
+    assert solve.rhs.tolist() == [1.0, 0.0, 0.0]
+    assert list(zip(solve.rows.tolist(), solve.cols.tolist(), solve.coeffs.tolist())) == [
         (0, 1, 1.0), (0, 2, 2.0), (1, 0, 1.0), (1, 1, -3.0), (2, 0, 1.0), (2, 2, -0.5),
     ]
     # the tableau the solver starts from and every rebuild reloads: the
-    # constraint rows and right-hand sides, then the objective (maximise omega)
-    tableau = np.empty((len(prog.rhs) + 1, prog.n_columns + 1))
-    lp._load(tableau, prog)
-    assert tableau.tolist() == [
+    # constraint rows and right-hand sides, then the objective (maximise
+    # omega), with every slack basic
+    assert solve.T.tolist() == [
         [0.0, 1.0, 2.0, 1.0],
         [1.0, -3.0, 0.0, 0.0],
         [1.0, 0.0, -0.5, 0.0],
         [1.0, 0.0, 0.0, 0.0],
     ]
-
-
-def test_assemble_requires_a_beneficiary():
-    inst = Instance((0,), {0: {0: 1.0}}, {})
-    with pytest.raises(ValueError, match="empty K"):
-        assemble_maxmin_lp(inst)
+    assert solve.basis.tolist() == [3, 4, 5]
+    assert solve.nonbasic.tolist() == [0, 1, 2]
 
 
 def test_unbounded_lp_detected():
@@ -220,9 +214,8 @@ def test_an_infeasible_final_point_is_refused(monkeypatch):
 
 
 def test_rebuilds_run_every_m_pivots_and_depend_on_the_basis_alone():
-    prog = assemble_maxmin_lp(_torus(10, 3))
-    m = len(prog.rhs)
-    solve = lp._Solve(prog)
+    solve = lp._Solve(_torus(10, 3))
+    m = solve.m
     rebuild = solve.rebuild
     at = []
 

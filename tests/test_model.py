@@ -172,6 +172,9 @@ def test_validate_clean_instance_and_its_degree_maxima():
         # 1.0 == 1, and saved as "1.0" it is a key no file reader takes
         (lambda d: d["resources"].update({5: {1.0: 1.0}}), "resource 5: unknown agent 1.0"),
         (lambda d: d["beneficiaries"][10].update({1: -2.0}), "nonpositive coefficient"),
+        # too large for a float, which math.isfinite raises on
+        (lambda d: d["resources"][0].update({1: 10**400}),
+         "resource 0: non-finite coefficient for agent 1"),
     ],
 )
 def test_validate_flags_each_defect(mutate, fragment):
@@ -198,6 +201,23 @@ def test_validate_refuses_booleans_that_would_pass_for_one():
         "beneficiary 1: unknown agent True",
         "beneficiary 1: True for agent True is not a number",
     )
+
+
+def test_validate_refuses_row_ids_that_are_not_integers(tmp_path):
+    # saved, 'a' and True would be written as no JSON value and 1.5 as an id
+    # no reader takes
+    assert validate(Instance((0,), {"a": {0: 1.0}}, {1.5: {0: 1.0}})) == (
+        "resource 'a': ids must be integers",
+        "beneficiary 1.5: ids must be integers",
+    )
+    assert validate(Instance((0,), {True: {0: 1.0}}, {2: {0: 1.0}})) == (
+        "resource True: ids must be integers",
+    )
+    inst = Instance((0,), {0: {0: 1.0}}, {1: {0: 1.0}})
+    assert validate(inst) == ()
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    assert load_instance(path) == inst
 
 
 def test_validate_flags_uncovered_agent():
