@@ -37,7 +37,7 @@ def _config(args, **resolved):
 def _save_generated(instance, args, **resolved):
     from .model import save_instance
 
-    save_instance(instance, args.output, extra={"config": _config(args, **resolved)})
+    save_instance(instance, args.output, config=_config(args, **resolved))
     print(
         f"wrote {args.output} ({len(instance.agents)} agents, "
         f"{len(instance.resources)} resources, "

@@ -11,8 +11,8 @@ FEASIBILITY_TOL = 1e-9
 
 def _check_domain(instance, assignment):
     # key views compare as sets, and the instance's incidence map is keyed
-    # by its agents and cached, so no agent-keyed set is built per check
-    if assignment.keys() != instance.agent_rows().keys():
+    # by its agents and kept, so no agent-keyed set is built per check
+    if assignment.keys() != instance.rows_of.keys():
         raise ValueError("assignment domain does not match the instance's agents")
 
 

@@ -5,10 +5,11 @@ counts row hops.  The graph is never built as agent -> neighbours; every
 walk goes through an *incidence*, the triple ``(rows_of, resources,
 beneficiaries)``: ``rows_of`` maps a node to the ids of its rows, and the
 other two map a row id to the row, a map keyed by its support.
-:func:`incidence` gives an instance's, from
-:meth:`~maxminlp.model.Instance.agent_rows`, and a :class:`View` has the
-same shape: its ``rows_of`` holds its members' entries of that map and no
-others, and its rows hold ``None`` for every coefficient beyond the horizon.
+:func:`incidence` gives an instance's, whose map is
+:attr:`Instance.rows_of <maxminlp.model.Instance.rows_of>`, and a
+:class:`View` has the same shape: its ``rows_of`` holds its members'
+entries of that map and no others, and its rows hold ``None`` for every
+coefficient beyond the horizon.
 :func:`distances` is the one breadth-first search over an incidence, and
 :func:`ball` wraps it.  Growth factors, views, the adversary's carve
 and its template's girth all walk through :func:`distances`; a local
@@ -55,9 +56,9 @@ def distances(incidence, start, limit=None):
 
 
 def incidence(instance):
-    """The instance's incidence for :func:`distances`: its cached
-    :meth:`~maxminlp.model.Instance.agent_rows` and its two row maps."""
-    return instance.agent_rows(), instance.resources, instance.beneficiaries
+    """The instance's incidence for :func:`distances`: its
+    :attr:`~maxminlp.model.Instance.rows_of` and its two row maps."""
+    return instance.rows_of, instance.resources, instance.beneficiaries
 
 
 def ball(incidence, v, r):
@@ -115,7 +116,7 @@ class View(NamedTuple):
     """Everything one agent may legally see within its horizon.
 
     ``rows_of`` maps each member, ascending, to the instance's own
-    :meth:`~maxminlp.model.Instance.agent_rows` tuple; its keys are exactly
+    :attr:`~maxminlp.model.Instance.rows_of` tuple; its keys are exactly
     the radius-``horizon`` ball around ``center``, so a walk over the view
     stops where the members end.  ``resources`` and ``beneficiaries`` have
     the instance's shape: each maps the id of a row that touches a member,
@@ -140,7 +141,7 @@ def extract_view(instance, v, r):
     ``None`` for the agents outside the ball.  A row id is a resource's when
     the resources hold it, which validity makes exact.
     """
-    rows_of = instance.agent_rows()
+    rows_of = instance.rows_of
     members = {u: rows_of[u] for u in sorted(ball(incidence(instance), v, r))}
     resources, beneficiaries = {}, {}
     for i in sorted({i for ids in members.values() for i in ids}):

@@ -194,6 +194,13 @@ class _Solve:
             column = self.T[:-1, pc]
             rows = np.flatnonzero(column > PIVOT_TOL)
             if rows.size == 0:
+                largest = column.max()
+                if largest > 0.0:
+                    # a positive entry bounds the variable, but is too small to pivot on
+                    self.refuse(
+                        f"found the program too badly scaled (variable {self.nonbasic[pc]}'s "
+                        f"largest entry {largest:.3g} is not above PIVOT_TOL = {PIVOT_TOL:g})"
+                    )
                 self.refuse(
                     f"found variable {self.nonbasic[pc]} unbounded; zero "
                     "activity is always feasible and resources bound the rest"
@@ -217,10 +224,12 @@ def solve_maxmin(sub_instance):
     The fixed pivot path makes the answer a pure function of the
     sub-instance.  Raises ``ArithmeticError``, naming the program's size,
     the pivots done and the last primal residual, when the budget of
-    ``_PIVOT_BUDGET_FACTOR`` pivots per row and column is spent, when a
-    rebuild meets a singular basis, or when the point found violates a row
-    or a sign by more than ``FEASIBILITY_TOL``, the tolerance
-    :func:`~maxminlp.evaluation.feasibility` holds a point to.
+    ``_PIVOT_BUDGET_FACTOR`` pivots per row and column is spent, when an
+    entering column has no entry above ``PIVOT_TOL`` (the program is called
+    unbounded only when no entry is positive, and too badly scaled
+    otherwise), when a rebuild meets a singular basis, or when the point
+    found violates a row or a sign by more than ``FEASIBILITY_TOL``, the
+    tolerance :func:`~maxminlp.evaluation.feasibility` holds a point to.
     """
     solve = _Solve(sub_instance)
     solve.run()

@@ -12,6 +12,7 @@ entries only; an absent key is a structural zero.  An assignment, one
 activity per agent, is a plain dict ``agent id -> float``.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -27,8 +28,11 @@ class Instance:
     resource id to its capacity row, ``beneficiaries`` maps a beneficiary id
     to its benefit row.  Construction canonicalises all orderings so that two
     equal instances iterate identically; treat instances as immutable after
-    construction (derived structure is cached on first use).  Equality
-    compares those three canonical fields.
+    construction.  Equality compares those three canonical fields.
+
+    Two derived facts are kept, each worked out once on first use: the
+    incidence map :attr:`rows_of`, a cached property, and the verdict of
+    :func:`validate`, in ``_violations`` (``None`` until the first audit).
 
     Rows handed to ``Instance`` become its own: a row that is a plain dict
     with its agent keys in strictly ascending order is kept as that object,
@@ -41,7 +45,7 @@ class Instance:
         self.agents = tuple(sorted(agents))
         self.resources = _canonical({i: _canonical(row) for i, row in resources.items()})
         self.beneficiaries = _canonical({k: _canonical(row) for k, row in beneficiaries.items()})
-        self._cache = {}
+        self._violations = None
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -56,23 +60,19 @@ class Instance:
             f"beneficiaries={self.beneficiaries!r})"
         )
 
-    def agent_rows(self):
+    @functools.cached_property
+    def rows_of(self):
         """Map agent -> the ascending ids of the resource rows covering it,
         then the ascending ids of the beneficiary rows drawing on it, in one
-        tuple; built on first use and cached."""
-        rows_of = self._cache.get("rows_of")
-        if rows_of is None:
-            rows_of = {v: [] for v in self.agents}
-            for rows in (self.resources, self.beneficiaries):
-                for rid, row in rows.items():
-                    for v in row:
-                        mine = rows_of.get(v)
-                        if mine is not None:
-                            mine.append(rid)
-            for v, ids in rows_of.items():
-                rows_of[v] = tuple(ids)
-            self._cache["rows_of"] = rows_of
-        return rows_of
+        tuple."""
+        rows_of = {v: [] for v in self.agents}
+        for rows in (self.resources, self.beneficiaries):
+            for rid, row in rows.items():
+                for v in row:
+                    mine = rows_of.get(v)
+                    if mine is not None:
+                        mine.append(rid)
+        return {v: tuple(ids) for v, ids in rows_of.items()}
 
 
 def _canonical(row):
@@ -117,15 +117,14 @@ def validate(instance):
     """Structural audit: a tuple with one line per defect, empty when valid.
 
     Never raises.  All downstream operations assume validity.  The tuple is
-    cached on the instance like its derived maps, so an instance that is
-    loaded and then run is audited once.
+    kept on the instance, so an instance that is loaded and then run is
+    audited once.
     """
-    violations = instance._cache.get("validation")
-    if violations is not None:
-        return violations
-    # the incidence map is keyed by the agents and cached, so it serves as
-    # the agent set; agents is sorted, so a repeated id follows its first copy
-    rows_of = instance.agent_rows()
+    if instance._violations is not None:
+        return instance._violations
+    # the incidence map is keyed by the agents and kept, so it serves as the
+    # agent set; agents is sorted, so a repeated id follows its first copy
+    rows_of = instance.rows_of
     violations = [] if instance.agents else ["instance has no agents"]
     previous = None
     for v in instance.agents:
@@ -144,8 +143,7 @@ def validate(instance):
         # resource row holding it; a beneficiary row may share that id
         if not ids or v not in instance.resources.get(ids[0], ()):
             violations.append(f"agent {v}: no resource covers it (empty I_v)")
-    violations = tuple(violations)
-    instance._cache["validation"] = violations
+    instance._violations = violations = tuple(violations)
     return violations
 
 
@@ -285,9 +283,25 @@ def _unique_keys(pairs):
     return obj
 
 
+def _json_integer(text):
+    # int alone refuses a long one with advice to raise a limit that only
+    # the running program can raise
+    digits = len(text) - text.startswith("-")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise OverflowError(f"an integer of {digits} digits, above the limit of {limit}")
+    return int(text)
+
+
 def load_json(path):
-    """Parse a JSON file, rejecting any object that repeats a key."""
-    return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    """Parse a JSON file, rejecting any object that repeats a key.  A file
+    that is not JSON, or holds an integer too long to read, is refused
+    naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_integer)
+    except (UnicodeDecodeError, json.JSONDecodeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _row_texts(mapping):
@@ -320,34 +334,28 @@ def _write_list(out, items):
     out.write("[]" if opening == "[\n    " else "\n  ]")
 
 
-def save_instance(instance, path, extra=None):
-    """Write ``instance`` with the top-level keys of ``extra`` added, which
-    win a clash, in the bytes :func:`dump_json` writes for that payload.
+def save_instance(instance, path, config=None):
+    """Write ``instance``, and ``config`` under the key ``"config"`` when one
+    is given, in the bytes :func:`dump_json` writes for that payload.
 
     The text is rendered straight from the canonical instance: ``json.dumps``
     with ``indent`` set runs its pure-Python encoder over every coefficient,
     which cost more than building the largest generated instances.  Each
     section, and each row of a row list, goes to the file as it is
-    rendered, so the writer never holds the file's text.  Values of
-    ``extra`` still go through ``json.dumps``.
+    rendered, so the writer never holds the file's text.  Only ``config``
+    goes through ``json.dumps``.
     """
-    rows = {"beneficiaries": instance.beneficiaries, "resources": instance.resources}
-    # json escapes newlines inside strings, so every newline is layout
-    texts = {
-        key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        for key, value in (extra or {}).items()
-    }
     with Path(path).open("w") as out:
-        opening = "{\n  "
-        for key in sorted({"agents", *rows, *texts}):
-            out.write(f"{opening}{json.dumps(key)}: ")
-            if key in texts:
-                out.write(texts[key])
-            elif key in rows:
-                _write_list(out, _row_texts(rows[key]))
-            else:
-                _write_list(out, map(str, instance.agents))
-            opening = ",\n  "
+        out.write('{\n  "agents": ')
+        _write_list(out, map(str, instance.agents))
+        out.write(',\n  "beneficiaries": ')
+        _write_list(out, _row_texts(instance.beneficiaries))
+        if config is not None:
+            # json escapes newlines inside strings, so every newline is layout
+            out.write(',\n  "config": ')
+            out.write(json.dumps(config, indent=2, sort_keys=True).replace("\n", "\n  "))
+        out.write(',\n  "resources": ')
+        _write_list(out, _row_texts(instance.resources))
         out.write("\n}\n")
 
 

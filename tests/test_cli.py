@@ -477,6 +477,34 @@ def test_eval_refuses_a_non_finite_assignment_value(tmp_path, capsys):
     assert not out.exists()
 
 
+# 5001 digits, past the 4300 that int() reads from text by default
+LONG = "1" + "0" * 5000
+
+
+def test_a_long_integer_in_an_instance_is_refused_naming_the_file(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"agents": [0], "resources": [], "beneficiaries": '
+                    '[{"id": 2, "coeffs": {"0": %s}}]}' % LONG)
+    assert main(["solve", str(inst)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {inst}: an integer of 5001 digits, above the limit of 4300\n"
+    )
+
+
+@pytest.mark.parametrize("text, fault", [
+    ('{"values": {"0": 0.5,}}',
+     "Expecting property name enclosed in double quotes: line 1 column 22 (char 21)"),
+    ('{"values": {"0": 0.5, "1": %s}}' % LONG, "an integer of 5001 digits, above the limit of 4300"),
+], ids=["syntax", "long-integer"])
+def test_eval_refuses_a_second_file_that_is_not_json_naming_it(tmp_path, capsys, text, fault):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_two_agents()))
+    x = tmp_path / "x.json"
+    x.write_text(text)
+    assert main(["eval", str(inst), str(x)]) == 1
+    assert capsys.readouterr() == ("", f"error: {x}: {fault}\n")
+
+
 def test_outputs_are_location_independent(tmp_path):
     # the embedded config must not mention input paths, so the same command
     # from another directory on a moved copy produces identical bytes

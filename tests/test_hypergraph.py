@@ -191,7 +191,7 @@ def test_view_rows_are_the_instances_own_for_exactly_the_members(n_agents, max_s
     view = extract_view(inst, v, r)
     assert tuple(view.rows_of) == tuple(sorted(oracles.ball(inst, v, r)))
     for u, ids in view.rows_of.items():
-        assert ids is inst.agent_rows()[u]
+        assert ids is inst.rows_of[u]
 
 
 def test_view_argument_errors():

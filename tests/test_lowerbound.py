@@ -289,8 +289,8 @@ def test_the_attack_caches_no_neighbour_map(monkeypatch):
     monkeypatch.setattr(lowerbound, "build_adversarial_instance", keeping)
     adversarial_lower_bound(make_algorithm("safe"), 2, 1, 1, 2)
     full, _ = made[0]
-    assert set(full._cache) == {"rows_of", "validation"}
-    rows_of = full.agent_rows()
+    assert set(vars(full)) == {"agents", "resources", "beneficiaries", "rows_of", "_violations"}
+    rows_of = full.rows_of
     row_ids = full.resources.keys() | full.beneficiaries.keys()
     assert all(set(ids) <= row_ids for ids in rows_of.values())
 

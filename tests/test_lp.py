@@ -46,6 +46,42 @@ def test_unbounded_lp_detected():
         solve_maxmin(inst)
 
 
+def test_a_bounded_program_too_badly_scaled_to_pivot_is_not_called_unbounded():
+    # resource 0 bounds agent 1, but after agent 0 enters, agent 1's entry
+    # in that row is 1e-7, which is not above PIVOT_TOL; HiGHS finds 1
+    inst = Instance((0, 1), {0: {0: 1e7, 1: 1.0}}, {1: {0: 1.0, 1: 1.0}})
+    assert oracles.linprog_maxmin(inst) == pytest.approx(1.0, rel=1e-9)
+    with pytest.raises(ArithmeticError) as refusal:
+        solve_maxmin(inst)
+    message = str(refusal.value)
+    assert "unbounded" not in message
+    assert "PIVOT_TOL = 1e-07" in message
+    assert "entry 1e-07" in message
+    assert "too badly scaled" in message
+
+
+def test_scaled_programs_agree_with_highs_or_refuse_clearly():
+    # one coefficient of 10**k: a resource's, or a benefit next to a unit
+    # resource per agent; each solve agrees with HiGHS or refuses without
+    # calling the bounded program unbounded
+    faults = []
+    for k in range(-8, 9):
+        for inst in (
+            Instance((0, 1), {0: {0: 10.0**k, 1: 1.0}}, {2: {0: 1.0, 1: 1.0}}),
+            Instance((0, 1), {0: {0: 1.0}, 1: {1: 1.0}}, {2: {0: 10.0**k, 1: 1.0}}),
+        ):
+            want = oracles.linprog_maxmin(inst)
+            try:
+                _, omega = solve_maxmin(inst)
+            except ArithmeticError as exc:
+                if "unbounded" in str(exc):
+                    faults.append((inst, str(exc)))
+            else:
+                if omega != pytest.approx(want, rel=1e-9):
+                    faults.append((inst, omega, want))
+    assert faults == []
+
+
 def test_degenerate_ties_resolve_identically():
     # the last resource row caps the benefit row at 1 and every point of
     # x0 + x1 + x2 = 1 reaches it; entering x0 ties three rows at ratio 1.

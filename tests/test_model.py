@@ -20,6 +20,7 @@ from maxminlp.model import (
     dump_json,
     instance_from_dict,
     load_instance,
+    load_json,
     restrict,
     save_instance,
     validate,
@@ -139,10 +140,10 @@ def test_repr_rebuilds_an_equal_instance_in_the_same_order():
         ]
 
 
-def test_agent_rows_lists_resource_ids_then_beneficiary_ids():
+def test_rows_of_lists_resource_ids_then_beneficiary_ids():
     inst = chain()
-    assert inst.agent_rows() == {0: (0, 11), 1: (0, 10), 2: (1, 2, 10), 3: (1, 12)}
-    assert inst.agent_rows() is inst.agent_rows()
+    assert inst.rows_of == {0: (0, 11), 1: (0, 10), 2: (1, 2, 10), 3: (1, 12)}
+    assert inst.rows_of is inst.rows_of
 
 
 def test_validate_clean_instance_and_its_degree_maxima():
@@ -228,7 +229,7 @@ def test_validate_flags_uncovered_agent():
 def test_validate_flags_an_agent_held_only_by_a_beneficiary_sharing_a_resource_id():
     # agent 1's first row id, 5, names a resource too, but that resource holds agent 0 only
     inst = Instance((0, 1), {5: {0: 1.0}}, {5: {1: 1.0}})
-    assert inst.agent_rows() == {0: (5,), 1: (5,)}
+    assert inst.rows_of == {0: (5,), 1: (5,)}
     assert validate(inst) == (
         "id 5: used for both a resource and a beneficiary",
         "agent 1: no resource covers it (empty I_v)",
@@ -298,8 +299,8 @@ def test_restrict_builds_no_agent_keyed_scratch():
 
 def test_validate_builds_no_agent_keyed_scratch():
     inst, one_set = _torus_and_one_agent_set()
-    validate(inst)  # builds and caches the incidence map, as loading does
-    inst._cache.pop("validation")
+    validate(inst)  # builds and keeps the incidence map, as loading does
+    inst._violations = None
     violations, kept, peak = _traced(lambda: validate(inst))
     assert violations == ()
     assert peak - kept < one_set, (peak, kept, one_set)
@@ -333,7 +334,7 @@ def test_random_instances_survive_save_load_save_byte_for_byte(n_agents, max_sup
 def test_instance_json_tolerates_extra_top_level_keys(tmp_path):
     inst = chain()
     path = tmp_path / "inst.json"
-    save_instance(inst, path, extra={"config": {"command": "gen-torus", "seed": 3}})
+    save_instance(inst, path, config={"command": "gen-torus", "seed": 3})
     payload = json.loads(path.read_text())
     assert payload["config"]["seed"] == 3
     assert load_instance(path) == inst
@@ -356,25 +357,21 @@ CONFIGS = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(STRINGS, inner, max_size=4)),
     max_leaves=12,
 )
-# "agents" and "resources" as extra keys replace the instance's own sections
-EXTRAS = st.one_of(
-    st.none(),
-    st.dictionaries(
-        st.one_of(st.sampled_from(["config", "agents", "resources"]), STRINGS), CONFIGS, max_size=3
-    ),
-)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(IDS, max_size=8), ROWS, ROWS, EXTRAS)
+@given(st.lists(IDS, max_size=8), ROWS, ROWS, st.one_of(st.none(), CONFIGS))
 @example([9, 10], {0: {9: 1.0, 10: 2}}, {}, None)
-@example([], {}, {3: {}}, {"config": {"seed": -0.0, "note": 'é"\n', "big": 1e16}})
-def test_save_instance_writes_what_json_dumps_writes(agents, resources, beneficiaries, extra):
+@example([], {}, {3: {}}, {"seed": -0.0, "note": 'é"\n', "big": 1e16})
+def test_save_instance_writes_what_json_dumps_writes(agents, resources, beneficiaries, config):
     inst = Instance(agents, resources, beneficiaries)
-    want = json.dumps(oracles.instance_to_dict(inst) | (extra or {}), indent=2, sort_keys=True)
+    payload = oracles.instance_to_dict(inst)
+    if config is not None:
+        payload["config"] = config
+    want = json.dumps(payload, indent=2, sort_keys=True)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "inst.json")
-        save_instance(inst, path, extra=extra)
+        save_instance(inst, path, config)
         assert path.read_text() == want + "\n"
 
 
@@ -565,3 +562,20 @@ def test_load_json_rejects_duplicate_object_keys(tmp_path, text, key):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"duplicate JSON object key '{key}'"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("data, fault", [
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"values": {"0": -' + b"9" * 4301 + b"}}",
+     "an integer of 4301 digits, above the limit of 4300"),
+    (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["syntax", "long-integer", "not-utf-8"])
+def test_load_json_names_a_file_that_is_not_json(tmp_path, data, fault):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as refusal:
+        load_json(path)
+    assert str(refusal.value) == f"{path}: {fault}"
+    # an integer at the limit is read exactly
+    path.write_text("[" + "9" * 4300 + "]")
+    assert load_json(path) == [10**4300 - 1]
