@@ -17,10 +17,6 @@ from .hypergraph import extract_view
 from .model import Instance, InvalidInstanceError, validate
 
 
-class LocalAlgorithmError(RuntimeError):
-    pass
-
-
 class LocalAlgorithm:
     """One round at ``horizon``: each agent's value is ``decide(view)``."""
 
@@ -67,7 +63,7 @@ class SafeAlgorithm(LocalAlgorithm):
             if best is None or share < best:
                 best = share
         if best is None:
-            raise LocalAlgorithmError(
+            raise RuntimeError(
                 f"agent {v} touches no resource; the instance should not have validated"
             )
         return best
@@ -89,7 +85,7 @@ def local_subproblem(view):
     beneficiaries = {
         k: row for k, row in view.beneficiaries.items() if None not in row.values()
     }
-    return Instance(view.rows_of, resources, beneficiaries)
+    return Instance(view.members, resources, beneficiaries)
 
 
 def local_lp_solution(view):
@@ -100,8 +96,8 @@ def local_lp_solution(view):
     when no benefit row fits inside: the objective would be vacuous there,
     and zero keeps every packing row slack.  The subproblem is canonical and
     the solver's pivot path is fixed, so the numbers are a pure function of
-    the ball's rows.  A failing solve raises :class:`LocalAlgorithmError`
-    naming the ball's centre, R and size, chained from the solver's error.
+    the ball's rows.  A failing solve raises ``RuntimeError`` naming the
+    ball's centre, R and size, chained from the solver's error.
     """
     sub = local_subproblem(view)
     if not sub.beneficiaries:
@@ -111,7 +107,7 @@ def local_lp_solution(view):
     try:
         values, _ = solve_maxmin(sub)
     except (ArithmeticError, ValueError) as exc:
-        raise LocalAlgorithmError(
+        raise RuntimeError(
             f"LP of the ball around u={view.center} with R={view.horizon} "
             f"({len(sub.agents)} agents) failed: {exc}"
         ) from exc
@@ -145,13 +141,14 @@ class LocalAveraging(LocalAlgorithm):
 
     def solve_ball(self, view):
         """Round 1: the centre's ball and its read-only LP optimum."""
-        return frozenset(view.rows_of), local_lp_solution(view)
+        return view.members, local_lp_solution(view)
 
     def average(self, view, prior):
         """Round 2: the damped average over the members' ball optima."""
         j = view.center
         total = 0.0
-        for u in view.rows_of:
+        # ascending, so the float sum does not hang on the set's order
+        for u in sorted(view.members):
             total += prior[u][1][j]
 
         beta = None
@@ -166,8 +163,8 @@ class LocalAveraging(LocalAlgorithm):
             if beta is None or fraction < beta:
                 beta = fraction
         if beta is None:
-            raise LocalAlgorithmError(f"agent {j} touches no resource")
-        return beta / len(view.rows_of) * total
+            raise RuntimeError(f"agent {j} touches no resource")
+        return beta / len(view.members) * total
 
 
 def run_local(instance, algorithm):
@@ -195,11 +192,11 @@ def run_local(instance, algorithm):
             if prior is None:
                 outputs[v] = step(view)
             else:
-                outputs[v] = step(view, {u: prior[u] for u in view.rows_of})
+                outputs[v] = step(view, {u: prior[u] for u in view.members})
     for v, value in outputs.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
                 or not math.isfinite(value) or value < 0:
-            raise LocalAlgorithmError(
+            raise RuntimeError(
                 f"algorithm {algorithm.name!r} returned {value!r} for agent {v}; "
                 "values must be finite and nonnegative"
             )

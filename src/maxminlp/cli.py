@@ -154,10 +154,10 @@ def _cmd_eval(args):
 
 
 def _cmd_growth(args):
-    from .hypergraph import growth_factor
+    from .hypergraph import growth_factors
     from .model import load_instance
 
-    gamma = growth_factor(load_instance(args.instance), args.radius)
+    (gamma,) = growth_factors(load_instance(args.instance), args.radius, args.radius)
     print(f"gamma({args.radius}) = {gamma.numerator}/{gamma.denominator}")
     return {"gamma": {"numerator": gamma.numerator, "denominator": gamma.denominator}}
 

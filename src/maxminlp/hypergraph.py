@@ -6,17 +6,16 @@ walk goes through an *incidence*, the triple ``(rows_of, resources,
 beneficiaries)``: ``rows_of`` maps a node to the ids of its rows, and the
 other two map a row id to the row, a map keyed by its support.
 :func:`incidence` gives an instance's, whose map is
-:attr:`Instance.rows_of <maxminlp.model.Instance.rows_of>`, and a
-:class:`View` has the same shape: its ``rows_of`` holds its members'
-entries of that map and no others, and its rows hold ``None`` for every
-coefficient beyond the horizon.
+:attr:`Instance.rows_of <maxminlp.model.Instance.rows_of>`.
 :func:`distances` is the one breadth-first search over an incidence, and
 :func:`ball` wraps it.  Growth factors, views, the adversary's carve
-and its template's girth all walk through :func:`distances`; a local
-algorithm's ball is the members of its centre's view, so ``local-avg``,
-which runs two rounds at horizon R under its registered horizon 2R + 1,
-walks nothing but views.  No module keeps a search of its own.  An agent's
-radius-r knowledge is a :class:`View`.
+and its template's girth all walk through :func:`distances`.  An agent's
+radius-r knowledge is a :class:`View`: its members, the ball as a
+frozenset, and one row map per kind whose rows hold ``None`` for every
+coefficient beyond the horizon.  A local algorithm's ball is the members
+of its centre's view, so ``local-avg``, which runs two rounds at horizon R
+under its registered horizon 2R + 1, walks nothing but views.  No module
+keeps a search of its own.
 """
 
 from typing import NamedTuple
@@ -74,9 +73,12 @@ def growth_factors(instance, first, last):
     """[gamma(first), ..., gamma(last)], gamma(r) = max_v |B(v, r+1)| / |B(v, r)|,
     each an exact rational.
 
-    One walk per agent to radius ``last + 1`` gives every ball size the
-    factors need.  The maxima are kept as integer pairs, compared by cross
-    multiplication, and each becomes a ``Fraction`` once.
+    gamma(r) measures how much a one-hop horizon extension can inflate what
+    an agent sees; the averaging algorithm's guarantee is stated against
+    gamma(R - 1) * gamma(R).  One walk per agent to radius ``last + 1``
+    gives every ball size the factors need.  The maxima are kept as integer
+    pairs, compared by cross multiplication, and each becomes a
+    ``Fraction`` once.
     """
     if not instance.agents:
         raise ValueError("growth factor of an empty instance is undefined")
@@ -103,33 +105,22 @@ def growth_factors(instance, first, last):
     return [Fraction(top, bottom) for top, bottom in best]
 
 
-def growth_factor(instance, r):
-    """max_v |B(v, r+1)| / |B(v, r)| as an exact rational.
-
-    Measures how much a one-hop horizon extension can inflate what an agent
-    sees; the guarantees of the averaging algorithm are stated against it.
-    """
-    return growth_factors(instance, r, r)[0]
-
-
 class View(NamedTuple):
     """Everything one agent may legally see within its horizon.
 
-    ``rows_of`` maps each member, ascending, to the instance's own
-    :attr:`~maxminlp.model.Instance.rows_of` tuple; its keys are exactly
-    the radius-``horizon`` ball around ``center``, so a walk over the view
-    stops where the members end.  ``resources`` and ``beneficiaries`` have
-    the instance's shape: each maps the id of a row that touches a member,
-    ascending, to ``{agent: coefficient}`` over the row's full support in
-    the instance's order.  The full support is how an agent knows whom it
-    shares a row with just beyond its horizon, but only a member's entry
-    holds its coefficient; every other entry is ``None``, which fails loudly
-    in any arithmetic.  Equality is field-by-field over these structures.
+    ``members`` is the radius-``horizon`` ball around ``center``, a
+    frozenset.  ``resources`` and ``beneficiaries`` have the instance's
+    shape: each maps the id of a row that touches a member, ascending, to
+    ``{agent: coefficient}`` over the row's full support in the instance's
+    order.  The full support is how an agent knows whom it shares a row
+    with just beyond its horizon, but only a member's entry holds its
+    coefficient; every other entry is ``None``, which fails loudly in any
+    arithmetic.  Equality is field-by-field over these structures.
     """
 
     center: int
     horizon: int
-    rows_of: dict
+    members: frozenset
     resources: dict
     beneficiaries: dict
 
@@ -141,10 +132,10 @@ def extract_view(instance, v, r):
     ``None`` for the agents outside the ball.  A row id is a resource's when
     the resources hold it, which validity makes exact.
     """
+    members = ball(incidence(instance), v, r)
     rows_of = instance.rows_of
-    members = {u: rows_of[u] for u in sorted(ball(incidence(instance), v, r))}
     resources, beneficiaries = {}, {}
-    for i in sorted({i for ids in members.values() for i in ids}):
+    for i in sorted({i for u in members for i in rows_of[u]}):
         row, into = instance.resources.get(i), resources
         if row is None:
             row, into = instance.beneficiaries[i], beneficiaries

@@ -25,22 +25,14 @@ from .algorithms import run_local
 NODE_CAP = 200_000
 
 
-class SizeCapError(ValueError):
-    """The requested construction would exceed the node cap."""
-
-
-class HorizonTooLargeError(ValueError):
-    """The algorithm sees farther than the template's girth guarantee covers."""
-
-
 # ---------------------------------------------------------------------------
 # Hypertrees.
 
 
-def hypertree_node_count(d, D, height, cap=math.inf):
+def hypertree_node_count(d, D, height):
     """Nodes in a tree of ``height`` levels below its root.
 
-    A count above ``cap`` raises :class:`SizeCapError` at the level that
+    A count above :data:`NODE_CAP` raises ``ValueError`` at the level that
     takes it there, so a huge tree is refused without being counted in
     full; when levels are left uncounted, the message says "at least".
     """
@@ -48,10 +40,10 @@ def hypertree_node_count(d, D, height, cap=math.inf):
     for level in range(height):
         width *= d if level % 2 == 0 else D
         total += width
-        if total > cap:
+        if total > NODE_CAP:
             bound = "" if level == height - 1 else "at least "
-            raise SizeCapError(
-                f"hypertree would have {bound}{total} nodes, above the cap of {cap}"
+            raise ValueError(
+                f"hypertree would have {bound}{total} nodes, above the cap of {NODE_CAP}"
             )
     return total
 
@@ -69,7 +61,7 @@ def build_hypertree(d, D, height, first_id=0):
         raise ValueError("branching factors must be at least 1")
     if height < 0:
         raise ValueError("height must be nonnegative")
-    hypertree_node_count(d, D, height, NODE_CAP)
+    hypertree_node_count(d, D, height)
     levels = [[first_id]]
     for level in range(height):
         width = d if level % 2 == 0 else D
@@ -246,11 +238,11 @@ def build_adversarial_instance(d, D, r, R):
     # one tree is counted first, and no further than the cap: its leaves
     # number the degree, so that and the template width stay small too
     height = 2 * R - 1
-    per_tree = hypertree_node_count(d, D, height, NODE_CAP)
+    per_tree = hypertree_node_count(d, D, height)
     degree = d**R * D ** (R - 1)
     total_agents = 2 * template_width(degree, 4 * r + 2) * per_tree
     if total_agents > NODE_CAP:
-        raise SizeCapError(
+        raise ValueError(
             f"construction would have {total_agents} agents, above the cap of {NODE_CAP}"
         )
 
@@ -399,7 +391,7 @@ def adversarial_lower_bound(algorithm, d, D, r, R):
     wherever D * fl(1/D) is not one.
     """
     if algorithm.horizon > r:
-        raise HorizonTooLargeError(
+        raise ValueError(
             f"algorithm {algorithm.name!r} has horizon {algorithm.horizon}, "
             f"which exceeds the attack radius {r}"
         )

@@ -289,18 +289,17 @@ def _json_integer(text):
     digits = len(text) - text.startswith("-")
     limit = sys.get_int_max_str_digits()
     if limit and digits > limit:
-        raise OverflowError(f"an integer of {digits} digits, above the limit of {limit}")
+        raise ValueError(f"an integer of {digits} digits, above the limit of {limit}")
     return int(text)
 
 
 def load_json(path):
-    """Parse a JSON file, rejecting any object that repeats a key.  A file
-    that is not JSON, or holds an integer too long to read, is refused
-    naming the file."""
+    """Parse a JSON file.  A file that is not JSON, repeats a key in an
+    object or holds an integer too long to read is refused naming the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         return json.loads(text, object_pairs_hook=_unique_keys, parse_int=_json_integer)
-    except (UnicodeDecodeError, json.JSONDecodeError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -10,7 +10,6 @@ import oracles
 from maxminlp import algorithms, hypergraph, lp
 from maxminlp.algorithms import (
     LocalAlgorithm,
-    LocalAlgorithmError,
     LocalAveraging,
     SafeAlgorithm,
     ZeroAlgorithm,
@@ -21,7 +20,7 @@ from maxminlp.algorithms import (
 )
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.generators import gen_random, gen_torus
-from maxminlp.hypergraph import View, extract_view, growth_factor
+from maxminlp.hypergraph import View, extract_view, growth_factors
 from maxminlp.lp import solve_maxmin
 from maxminlp.model import Instance
 
@@ -55,14 +54,13 @@ def test_a_centre_without_a_resource_is_refused(algorithm):
     view = View(
         center=0,
         horizon=1,
-        rows_of={0: (5,), 1: (4, 5, 6)},
+        members=frozenset({0, 1}),
         resources={4: {1: 1.0}},
         beneficiaries={5: {0: 1.0, 1: 1.0}, 6: {1: 1.0}},
     )
     *earlier, (_, step) = algorithm.rounds
-    ball = frozenset(view.rows_of)
-    prior = dict.fromkeys(ball, (ball, {0: 1.0, 1: 1.0}))
-    with pytest.raises(LocalAlgorithmError, match="agent 0 touches no resource"):
+    prior = dict.fromkeys(view.members, (view.members, {0: 1.0, 1: 1.0}))
+    with pytest.raises(RuntimeError, match="agent 0 touches no resource"):
         step(view, prior) if earlier else step(view)
 
 
@@ -157,7 +155,7 @@ def test_averaging_on_uniform_ring():
     assert run_local(inst, LocalAveraging(1)) == out
     assert feasibility(inst, out)[0]
     _, omega_star = solve_maxmin(inst)
-    certificate = growth_factor(inst, 0) * growth_factor(inst, 1)
+    certificate = growth_factors(inst, 0, 0)[0] * growth_factors(inst, 1, 1)[0]
     assert objective(inst, out) >= omega_star / float(certificate) - 1e-9
 
 
@@ -169,7 +167,7 @@ def test_averaging_meets_its_guarantee(seed, R):
     ok, worst = feasibility(inst, out)
     assert ok, worst
     _, omega_star = solve_maxmin(inst)
-    certificate = growth_factor(inst, R - 1) * growth_factor(inst, R)
+    certificate = growth_factors(inst, R - 1, R - 1)[0] * growth_factors(inst, R, R)[0]
     assert objective(inst, out) >= omega_star / float(certificate) - 1e-9
 
 
@@ -225,7 +223,7 @@ def test_an_algorithm_without_decide_is_refused():
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, True, None, "x"])
 def test_run_local_rejects_bad_outputs(value):
     inst = path4()
-    with pytest.raises(LocalAlgorithmError):
+    with pytest.raises(RuntimeError, match="values must be finite and nonnegative"):
         run_local(inst, _Misbehaving(value))
 
 
@@ -388,7 +386,7 @@ def test_no_memo_survives_a_run_that_raised(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(lp, "solve_maxmin", failing)
-        with pytest.raises(LocalAlgorithmError, match="injected"):
+        with pytest.raises(RuntimeError, match="injected"):
             run_local(inst, LocalAveraging(1))
     assert _fresh(inst, monkeypatch) == expected
 
@@ -425,7 +423,7 @@ def test_failing_ball_lp_names_agent_ball_and_radius(monkeypatch):
         return real(sub)
 
     monkeypatch.setattr(lp, "solve_maxmin", failing)
-    with pytest.raises(LocalAlgorithmError) as info:
+    with pytest.raises(RuntimeError, match="LP of the ball around u=32 with R=2") as info:
         run_local(inst, LocalAveraging(2))
     assert isinstance(info.value.__cause__, ArithmeticError)
     match = re.fullmatch(
@@ -437,6 +435,6 @@ def test_failing_ball_lp_names_agent_ball_and_radius(monkeypatch):
     assert match.group(3) == str(info.value.__cause__)
     assert "infeasible point" in match.group(3)
     # the named ball is the one that fails, solved from its centre's view
-    with pytest.raises(LocalAlgorithmError) as again:
+    with pytest.raises(RuntimeError, match="LP of the ball around u=32 with R=2") as again:
         local_lp_solution(extract_view(inst, 32, 2))
     assert str(again.value) == str(info.value)

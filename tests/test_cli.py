@@ -269,6 +269,25 @@ def test_gen_lowerbound_and_adversary(tmp_path):
     assert payload["parity"]["rows_exact"] is True
 
 
+def test_the_attack_seed_is_recorded_and_changes_nothing_else(tmp_path):
+    # --seed stays on the attack's commands and in what they write, but no
+    # construction draws on it
+    runs = []
+    for seed in ("0", "7"):
+        work = tmp_path / seed
+        work.mkdir()
+        attack = ("-d", "2", "-D", "1", "-r", "1", "-R", "2", "--seed", seed)
+        made = cli("gen-lowerbound", *attack, "-o", "lb.json", cwd=work)
+        ran = cli("adversary", "--algorithm", "safe", *attack, "-o", "adv.json", cwd=work)
+        assert made.returncode == ran.returncode == 0, made.stderr + ran.stderr
+        lb = json.loads((work / "lb.json").read_text())
+        adv = json.loads((work / "adv.json").read_text())
+        assert lb["config"].pop("seed") == adv["config"].pop("seed") == int(seed)
+        assert adv["params"].pop("seed") == int(seed)
+        runs.append((made.stdout, ran.stdout, lb, adv))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("D, printed, written", [
     (4, "1.59999999999", 1.5999999999999999),
     (5, "1.66666666666", 1.6666666666666665),
@@ -495,7 +514,8 @@ def test_a_long_integer_in_an_instance_is_refused_naming_the_file(tmp_path, caps
     ('{"values": {"0": 0.5,}}',
      "Expecting property name enclosed in double quotes: line 1 column 22 (char 21)"),
     ('{"values": {"0": 0.5, "1": %s}}' % LONG, "an integer of 5001 digits, above the limit of 4300"),
-], ids=["syntax", "long-integer"])
+    ('{"values": {"0": 0.5, "0": 0.25}}', "duplicate JSON object key '0'"),
+], ids=["syntax", "long-integer", "duplicate-key"])
 def test_eval_refuses_a_second_file_that_is_not_json_naming_it(tmp_path, capsys, text, fault):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(_two_agents()))
@@ -503,6 +523,13 @@ def test_eval_refuses_a_second_file_that_is_not_json_naming_it(tmp_path, capsys,
     x.write_text(text)
     assert main(["eval", str(inst), str(x)]) == 1
     assert capsys.readouterr() == ("", f"error: {x}: {fault}\n")
+
+
+def test_an_instance_that_repeats_a_key_is_refused_naming_the_file(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"agents": [0], "agents": [0, 1], "resources": [], "beneficiaries": []}')
+    assert main(["solve", str(inst)]) == 1
+    assert capsys.readouterr() == ("", f"error: {inst}: duplicate JSON object key 'agents'\n")
 
 
 def test_outputs_are_location_independent(tmp_path):

@@ -16,7 +16,7 @@ from maxminlp.evaluation import (
     write_report_csv,
 )
 from maxminlp.generators import gen_random, gen_torus
-from maxminlp.hypergraph import ball, growth_factor, incidence
+from maxminlp.hypergraph import ball, growth_factors, incidence
 from maxminlp.model import (
     Instance,
     assignment_to_dict,
@@ -156,7 +156,9 @@ def test_evaluate_full_report():
     assert report["omega"] == pytest.approx(0.5)
     assert report["omega_star"] == pytest.approx(1.0, abs=1e-9)
     assert report["ratio"] == pytest.approx(2.0, abs=1e-9)
-    assert report["certificate"] == float(growth_factor(inst, 0) * growth_factor(inst, 1))
+    assert report["certificate"] == float(
+        growth_factors(inst, 0, 0)[0] * growth_factors(inst, 1, 1)[0]
+    )
 
 
 def test_evaluate_respects_oracle_cap():
@@ -299,9 +301,11 @@ def test_growth_certificate_dominates_profile_exactly(seed, R):
     profile = oracles.locality_profile(inst, R)
     beta = min(Fraction(n_i, N_i) for n_i, N_i in profile.per_resource.values())
     skew = min(Fraction(m_k, M_k) for m_k, M_k in profile.per_beneficiary.values())
-    assert beta >= 1 / growth_factor(inst, R)
-    assert skew >= 1 / growth_factor(inst, R - 1)
-    assert beta * skew >= 1 / (growth_factor(inst, R - 1) * growth_factor(inst, R))
+    (gamma_r,) = growth_factors(inst, R, R)
+    (gamma_before,) = growth_factors(inst, R - 1, R - 1)
+    assert beta >= 1 / gamma_r
+    assert skew >= 1 / gamma_before
+    assert beta * skew >= 1 / (gamma_before * gamma_r)
 
 
 def test_the_certificate_walks_from_each_agent_once(tmp_path, monkeypatch):

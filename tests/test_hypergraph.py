@@ -10,7 +10,6 @@ from maxminlp.hypergraph import (
     ball,
     distances,
     extract_view,
-    growth_factor,
     growth_factors,
     incidence,
 )
@@ -96,7 +95,7 @@ def test_distances_match_set_expansion_at_every_radius(n_agents, max_support, se
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_growth_factor_matches_oracle(seed, r):
     inst = gen_random(9, 3, seed=seed)
-    assert growth_factor(inst, r) == oracles.growth(inst, r)
+    assert growth_factors(inst, r, r) == [oracles.growth(inst, r)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -105,20 +104,16 @@ def test_growth_factors_from_one_walk_match_each_factor(seed):
     assert growth_factors(inst, 0, 3) == [oracles.growth(inst, r) for r in range(4)]
     # 9 agents are all within 8 hops, so the walks end before radius 13
     assert growth_factors(inst, 0, 12) == [oracles.growth(inst, r) for r in range(13)]
-    assert growth_factors(inst, 2, 2) == [growth_factor(inst, 2)]
+    assert growth_factors(inst, 2, 2) == [oracles.growth(inst, 2)]
 
 
 def test_growth_factor_exact_values_on_small_tori():
     # 3x3 torus: each cell sees 6 others at one hop, everything at two
     t = gen_torus(dim=2, side=3)
-    assert growth_factor(t, 0) == Fraction(7, 1)
-    assert growth_factor(t, 1) == Fraction(9, 7)
-    assert growth_factor(t, 2) == Fraction(1)
+    assert [growth_factors(t, r, r)[0] for r in range(3)] == [7, Fraction(9, 7), 1]
     # ring of 6: balls grow by two cells per hop until they wrap
     ring = gen_torus(dim=1, side=6)
-    assert growth_factor(ring, 0) == Fraction(3, 1)
-    assert growth_factor(ring, 1) == Fraction(5, 3)
-    assert growth_factor(ring, 2) == Fraction(6, 5)
+    assert [growth_factors(ring, r, r)[0] for r in range(3)] == [3, Fraction(5, 3), Fraction(6, 5)]
 
 
 def test_growth_factor_far_past_the_diameter_needs_memory_of_the_walk_only():
@@ -127,7 +122,7 @@ def test_growth_factor_far_past_the_diameter_needs_memory_of_the_walk_only():
     t = gen_torus(dim=2, side=8)
     tracemalloc.start()
     try:
-        assert growth_factor(t, 10**6) == 1
+        assert growth_factors(t, 10**6, 10**6) == [1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -136,23 +131,22 @@ def test_growth_factor_far_past_the_diameter_needs_memory_of_the_walk_only():
 
 def test_growth_factor_rejects_bad_input():
     with pytest.raises(ValueError):
-        growth_factor(Instance((), {}, {}), 0)
+        growth_factors(Instance((), {}, {}), 0, 0)
     with pytest.raises(ValueError):
-        growth_factor(path4(), -1)
+        growth_factors(path4(), -1, -1)
 
 
 def test_view_contents_on_the_path():
     view = extract_view(path4(), 1, 1)
     assert view.center == 1
     assert view.horizon == 1
-    # members ascending, each with all its row ids; agent 3, named by
-    # resource 1's support, has no entry
-    assert list(view.rows_of.items()) == [(0, (0, 3)), (1, (0, 2)), (2, (1, 2))]
+    # the ball; agent 3, named by resource 1's support, is not a member
+    assert view.members == frozenset({0, 1, 2})
     # every row touching a member over its full support, None beyond the horizon
     assert view.resources == {0: {0: 1.0, 1: 1.0}, 1: {2: 1.0, 3: None}}
     assert list(view.resources[1]) == [2, 3]
     assert view.beneficiaries == {2: {1: 1.0, 2: 1.0}, 3: {0: 1.0}}
-    assert view._fields == ("center", "horizon", "rows_of", "resources", "beneficiaries")
+    assert view._fields == ("center", "horizon", "members", "resources", "beneficiaries")
 
 
 def test_view_equality_is_structural():
@@ -167,7 +161,7 @@ def test_view_coefficients_never_leave_the_ball(seed):
     inst = gen_random(12, 3, seed=seed)
     for v in inst.agents:
         view = extract_view(inst, v, 2)
-        members = view.rows_of.keys()
+        members = view.members
         assert members == oracles.ball(inst, v, 2)
         for theirs, mine in ((inst.resources, view.resources),
                              (inst.beneficiaries, view.beneficiaries)):
@@ -189,9 +183,10 @@ def test_view_rows_are_the_instances_own_for_exactly_the_members(n_agents, max_s
     inst = gen_random(n_agents, max_support, seed=seed)
     v = inst.agents[seed % len(inst.agents)]
     view = extract_view(inst, v, r)
-    assert tuple(view.rows_of) == tuple(sorted(oracles.ball(inst, v, r)))
-    for u, ids in view.rows_of.items():
-        assert ids is inst.rows_of[u]
+    assert view.members == oracles.ball(inst, v, r)
+    # the rows are the instance's rows of the members, ids ascending
+    ids = sorted({i for u in view.members for i in inst.rows_of[u]})
+    assert sorted([*view.resources, *view.beneficiaries]) == ids
 
 
 def test_view_argument_errors():

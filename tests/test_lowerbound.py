@@ -16,8 +16,6 @@ from maxminlp.algorithms import (
 from maxminlp.evaluation import feasibility, objective
 from maxminlp.hypergraph import extract_view
 from maxminlp.lowerbound import (
-    HorizonTooLargeError,
-    SizeCapError,
     adversarial_lower_bound,
     build_adversarial_instance,
     build_hypertree,
@@ -62,8 +60,9 @@ def test_hypertree_node_count_formula():
 def test_hypertree_respects_node_cap():
     # the count is checked before any node is built
     assert hypertree_node_count(2, 3, 13) <= lowerbound.NODE_CAP
-    assert hypertree_node_count(2, 3, 14) > lowerbound.NODE_CAP
-    with pytest.raises(SizeCapError, match="447897 nodes"):
+    with pytest.raises(ValueError, match="have 447897 nodes, above the cap of 200000"):
+        hypertree_node_count(2, 3, 14)
+    with pytest.raises(ValueError, match="447897 nodes"):
         build_hypertree(2, 3, 14)
 
 
@@ -343,7 +342,7 @@ def test_adversarial_argument_validation():
     for bad in [(0, 1, 1, 2), (2, 0, 1, 2), (2, 1, 0, 2), (2, 1, 1, 1), (2, 1, 2, 2)]:
         with pytest.raises(ValueError):
             build_adversarial_instance(*bad)
-    with pytest.raises(SizeCapError, match="above the cap of 200000"):
+    with pytest.raises(ValueError, match="above the cap of 200000"):
         build_adversarial_instance(3, 3, 1, 3)
 
 
@@ -361,7 +360,7 @@ def test_oversized_attacks_are_refused_before_the_template_is_built(
 
     monkeypatch.setattr(lowerbound, "build_regular_bipartite", unbuilt)
     t0 = time.monotonic()
-    with pytest.raises(SizeCapError, match=f"have {agents} agents, above the cap of 200000"):
+    with pytest.raises(ValueError, match=f"have {agents} agents, above the cap of 200000"):
         build_adversarial_instance(d, D, r, R)
     assert time.monotonic() - t0 < 1.0
 
@@ -548,7 +547,7 @@ def test_attack_reports_an_invalid_carve(monkeypatch):
 
 
 def test_attack_refuses_far_sighted_algorithms():
-    with pytest.raises(HorizonTooLargeError):
+    with pytest.raises(ValueError, match="has horizon 3, which exceeds the attack radius 1"):
         adversarial_lower_bound(make_algorithm("local-avg", R=1), 2, 1, 1, 2)
 
 

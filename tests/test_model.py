@@ -560,8 +560,9 @@ def test_assignment_from_dict_rejects_keys_naming_one_agent():
 def test_load_json_rejects_duplicate_object_keys(tmp_path, text, key):
     path = tmp_path / "dup.json"
     path.write_text(text)
-    with pytest.raises(ValueError, match=f"duplicate JSON object key '{key}'"):
+    with pytest.raises(ValueError) as info:
         load_instance(path)
+    assert str(info.value) == f"{path}: duplicate JSON object key '{key}'"
 
 
 @pytest.mark.parametrize("data, fault", [
